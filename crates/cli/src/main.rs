@@ -15,13 +15,12 @@
 
 use std::process::ExitCode;
 
-use tacos_baselines::{BaselineAlgorithm, IdealBound};
-use tacos_collective::Collective;
-use tacos_core::{Synthesizer, SynthesizerConfig};
+use tacos_collective::export;
+use tacos_core::{SynthesisScratch, SynthesizerConfig};
 use tacos_report::{fmt_f64, Json, Table};
-use tacos_scenario::{parse_baseline, parse_pattern, parse_size, parse_topology};
-use tacos_sim::Simulator;
+use tacos_scenario::{parse_pattern, parse_size, parse_topology};
 use tacos_topology::{Bandwidth, LinkSpec, Time};
+use tacos_workload::{bandwidth_gbps, Evaluator, Mechanism};
 
 /// How a failure should be presented: usage mistakes get the USAGE block
 /// appended; runtime failures (a bad scenario file, failed points) print
@@ -84,8 +83,9 @@ single-point options:
                      all-to-all | gather[:ROOT] | scatter[:ROOT] | broadcast[:ROOT]
   --size BYTES       e.g. 1GB, 64MB, 1KB (default 64MB)
   --chunks K         chunking factor per NPU (default 1)
-  --algo A           tacos (default) | ring | ring-uni | direct | rhd | dbt |
-                     multitree | taccl
+  --algo A           tacos (default) | tacos:N | tacos:attempts=8,seed=3,... | ideal |
+                     ring | ring-uni | direct | rhd | dbt | multitree | taccl | ...
+                     (the scenario `algo` vocabulary; tacos:N overrides --chunks)
   --alpha US         link latency in microseconds (default 0.5)
   --bw GBPS          link bandwidth in GB/s (default 50)
   --seed N           RNG seed (default 42)
@@ -816,59 +816,35 @@ fn run_single_point(args: &[String]) -> Result<(), String> {
     let topo = parse_topology(&topology_spec, spec)?;
     let size = parse_size(&size)?;
     let pattern = parse_pattern(&pattern, topo.num_npus())?;
-    let collective = Collective::with_chunking(pattern, topo.num_npus(), chunks.max(1), size)
-        .map_err(|e| e.to_string())?;
+    let config = SynthesizerConfig::default()
+        .with_seed(seed)
+        .with_attempts(attempts.max(1));
+    let mechanism = Mechanism::parse(&algo, &config)?;
 
-    let started = std::time::Instant::now();
-    let algorithm = match algo.as_str() {
-        "tacos" => {
-            let config = SynthesizerConfig::default()
-                .with_seed(seed)
-                .with_attempts(attempts.max(1));
-            Synthesizer::new(config)
-                .synthesize(&topo, &collective)
-                .map_err(|e| e.to_string())?
-                .into_algorithm()
-        }
-        name => {
-            let kind = parse_baseline(name, seed)?;
-            BaselineAlgorithm::new(kind)
-                .generate(&topo, &collective)
-                .map_err(|e| e.to_string())?
-        }
-    };
-    let synth_time = started.elapsed();
-
-    let sim_report = if simulate || algorithm.planned_time().is_none() {
-        Some(
-            Simulator::new()
-                .simulate(&topo, &algorithm)
-                .map_err(|e| e.to_string())?,
-        )
-    } else {
-        None
-    };
-    let collective_time = sim_report
+    let evaluator = Evaluator::new(&topo, &mechanism).with_simulation(simulate);
+    let evaluated = evaluator
+        .evaluate(pattern, size, chunks.max(1), &mut SynthesisScratch::new())
+        .map_err(|e| e.cause())?;
+    let collective_time = evaluated.time;
+    let bandwidth_gbps = bandwidth_gbps(size, collective_time);
+    let efficiency = evaluator.ideal().efficiency(pattern, size, collective_time);
+    // The ideal bound has no schedule: it reports under its own name.
+    let algorithm_name = evaluated
+        .algorithm
         .as_ref()
-        .map(|r| r.collective_time())
-        .unwrap_or_else(|| algorithm.collective_time());
-    let bandwidth_gbps = if collective_time.is_zero() {
-        f64::INFINITY
-    } else {
-        size.as_u64() as f64 / collective_time.as_secs_f64() / 1e9
-    };
-    let ideal = IdealBound::new(&topo);
-    let efficiency = ideal.efficiency(pattern, size, collective_time);
-
-    if let Some(path) = &export_json {
-        std::fs::write(path, tacos_collective::export::to_json(&algorithm))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("(algorithm JSON written to {path})");
-    }
-    if let Some(path) = &export_xml {
-        std::fs::write(path, tacos_collective::export::to_msccl_xml(&algorithm))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("(MSCCL-style XML written to {path})");
+        .map_or(mechanism.name(), |a| a.name());
+    let exports: [(_, _, fn(&_) -> String); 2] = [
+        (&export_json, "algorithm JSON", export::to_json),
+        (&export_xml, "MSCCL-style XML", export::to_msccl_xml),
+    ];
+    for (path, what, encode) in exports {
+        let Some(path) = path else { continue };
+        let algorithm = evaluated
+            .algorithm
+            .as_ref()
+            .ok_or_else(|| format!("--algo {algo} generates no algorithm to export"))?;
+        std::fs::write(path, encode(algorithm)).map_err(|e| format!("writing {path}: {e}"))?;
+        eprintln!("({what} written to {path})");
     }
     if json {
         let out = Json::obj([
@@ -877,23 +853,25 @@ fn run_single_point(args: &[String]) -> Result<(), String> {
             ("num_links", (topo.num_links() as u64).into()),
             ("collective", Json::Str(pattern.short_name().into())),
             ("size_bytes", size.as_u64().into()),
-            ("algorithm", Json::Str(algorithm.name().into())),
-            ("transfers", (algorithm.len() as u64).into()),
+            ("algorithm", Json::Str(algorithm_name.into())),
+            ("transfers", evaluated.transfers.into()),
             ("collective_time_ps", collective_time.as_ps().into()),
             ("bandwidth_gbps", bandwidth_gbps.into()),
             ("efficiency_vs_ideal", efficiency.into()),
-            ("synthesis_seconds", synth_time.as_secs_f64().into()),
+            ("synthesis_seconds", evaluated.generate_seconds.into()),
         ]);
         println!("{out}");
     } else {
         println!("topology   : {topo}");
-        println!("collective : {pattern} of {size} ({chunks} chunk(s)/NPU)");
         println!(
-            "algorithm  : {} ({} transfers)",
-            algorithm.name(),
-            algorithm.len()
+            "collective : {pattern} of {size} ({} chunk(s)/NPU)",
+            evaluated.chunks
         );
-        println!("synthesis  : {:.3}s", synth_time.as_secs_f64());
+        println!(
+            "algorithm  : {algorithm_name} ({} transfers)",
+            evaluated.transfers
+        );
+        println!("synthesis  : {:.3}s", evaluated.generate_seconds);
         let mut t = Table::new(vec!["metric", "value"]);
         t.row(vec!["collective time".into(), format!("{collective_time}")]);
         t.row(vec![
@@ -904,7 +882,7 @@ fn run_single_point(args: &[String]) -> Result<(), String> {
             "efficiency vs ideal".into(),
             format!("{:.1}%", efficiency * 100.0),
         ]);
-        if let Some(r) = &sim_report {
+        if let Some(r) = &evaluated.sim {
             t.row(vec![
                 "avg link utilization".into(),
                 format!("{:.1}%", r.average_utilization() * 100.0),
@@ -919,76 +897,6 @@ fn run_single_point(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tacos_baselines::BaselineKind;
-    use tacos_collective::CollectivePattern;
-    use tacos_topology::ByteSize;
-
-    #[test]
-    fn parse_sizes() {
-        assert_eq!(parse_size("1GB").unwrap(), ByteSize::gb(1));
-        assert_eq!(parse_size("64MB").unwrap(), ByteSize::mb(64));
-        assert_eq!(parse_size("1KB").unwrap(), ByteSize::kb(1));
-        assert_eq!(parse_size("512").unwrap(), ByteSize::bytes(512));
-        assert_eq!(parse_size("2GiB").unwrap(), ByteSize::gib(2));
-        assert!(parse_size("abc").is_err());
-    }
-
-    #[test]
-    fn parse_topologies() {
-        let spec = LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(50.0));
-        assert_eq!(parse_topology("ring:8", spec).unwrap().num_npus(), 8);
-        assert_eq!(parse_topology("mesh:3x3", spec).unwrap().num_npus(), 9);
-        assert_eq!(parse_topology("torus:2x2x2", spec).unwrap().num_npus(), 8);
-        assert_eq!(parse_topology("fc:4", spec).unwrap().num_npus(), 4);
-        assert_eq!(parse_topology("switch:4:d2", spec).unwrap().num_links(), 8);
-        assert_eq!(parse_topology("rfs:2x4x8", spec).unwrap().num_npus(), 64);
-        assert_eq!(
-            parse_topology("dragonfly:5x4", spec).unwrap().num_npus(),
-            20
-        );
-        assert_eq!(parse_topology("dgx1", spec).unwrap().num_npus(), 8);
-        assert!(parse_topology("blob:3", spec).is_err());
-        assert!(parse_topology("mesh:3", spec).is_err());
-    }
-
-    #[test]
-    fn parse_patterns_and_baselines() {
-        assert_eq!(
-            parse_pattern("ar", 4).unwrap(),
-            CollectivePattern::AllReduce
-        );
-        assert_eq!(
-            parse_pattern("all-gather", 4).unwrap(),
-            CollectivePattern::AllGather
-        );
-        assert_eq!(
-            parse_pattern("a2a", 4).unwrap(),
-            CollectivePattern::AllToAll
-        );
-        assert_eq!(
-            parse_pattern("gather:2", 4).unwrap(),
-            CollectivePattern::Gather {
-                root: tacos_topology::NpuId::new(2)
-            }
-        );
-        assert_eq!(
-            parse_pattern("scatter", 4).unwrap(),
-            CollectivePattern::Scatter {
-                root: tacos_topology::NpuId::new(0)
-            }
-        );
-        assert!(parse_pattern("gather:9", 4).is_err());
-        assert!(parse_pattern("frobnicate", 4).is_err());
-        assert!(matches!(
-            parse_baseline("ring", 0).unwrap(),
-            BaselineKind::Ring
-        ));
-        assert!(matches!(
-            parse_baseline("taccl", 9).unwrap(),
-            BaselineKind::TacclLike(_)
-        ));
-        assert!(parse_baseline("magic", 0).is_err());
-    }
 
     fn temp_file(tag: &str, contents: &str) -> std::path::PathBuf {
         let path =

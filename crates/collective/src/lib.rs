@@ -32,7 +32,7 @@ pub use chunk::{ChunkId, ChunkSet};
 pub use collective::Collective;
 pub use error::CollectiveError;
 pub use matrix::ChunkMatrix;
-pub use pattern::CollectivePattern;
+pub use pattern::{parse_pattern, CollectivePattern};
 
 /// A chunk with its size, used in documentation and examples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

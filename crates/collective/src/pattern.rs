@@ -97,9 +97,69 @@ impl fmt::Display for CollectivePattern {
     }
 }
 
+/// Parses a collective pattern name, optionally rooted (`broadcast:3`).
+///
+/// # Errors
+/// Returns a message for unknown patterns or out-of-range roots.
+pub fn parse_pattern(s: &str, num_npus: usize) -> Result<CollectivePattern, String> {
+    let (name, root) = match s.split_once(':') {
+        Some((name, root)) => {
+            let root: usize = root
+                .parse()
+                .map_err(|e| format!("bad root '{root}': {e}"))?;
+            if root >= num_npus {
+                return Err(format!("root {root} out of range for {num_npus} NPUs"));
+            }
+            (name, NpuId::new(root as u32))
+        }
+        None => (s, NpuId::new(0)),
+    };
+    match name {
+        "all-gather" | "allgather" | "ag" => Ok(CollectivePattern::AllGather),
+        "reduce-scatter" | "reducescatter" | "rs" => Ok(CollectivePattern::ReduceScatter),
+        "all-reduce" | "allreduce" | "ar" => Ok(CollectivePattern::AllReduce),
+        "all-to-all" | "alltoall" | "a2a" => Ok(CollectivePattern::AllToAll),
+        "broadcast" | "bcast" => Ok(CollectivePattern::Broadcast { root }),
+        "reduce" => Ok(CollectivePattern::Reduce { root }),
+        "gather" => Ok(CollectivePattern::Gather { root }),
+        "scatter" => Ok(CollectivePattern::Scatter { root }),
+        other => Err(format!("unknown collective '{other}'")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_patterns() {
+        assert_eq!(
+            parse_pattern("ar", 4).unwrap(),
+            CollectivePattern::AllReduce
+        );
+        assert_eq!(
+            parse_pattern("all-gather", 4).unwrap(),
+            CollectivePattern::AllGather
+        );
+        assert_eq!(
+            parse_pattern("a2a", 4).unwrap(),
+            CollectivePattern::AllToAll
+        );
+        assert_eq!(
+            parse_pattern("gather:2", 4).unwrap(),
+            CollectivePattern::Gather {
+                root: NpuId::new(2)
+            }
+        );
+        assert_eq!(
+            parse_pattern("scatter", 4).unwrap(),
+            CollectivePattern::Scatter {
+                root: NpuId::new(0)
+            }
+        );
+        assert!(parse_pattern("gather:9", 4).is_err());
+        assert!(parse_pattern("frobnicate", 4).is_err());
+    }
 
     #[test]
     fn combining_classification() {

@@ -1,10 +1,17 @@
-//! On-disk cache of synthesized algorithms.
+//! On-disk cache of generated algorithms.
 //!
-//! Synthesis is deterministic per (topology, collective, config, seed), so
-//! production deployments — like the CCLs the paper targets — synthesize
-//! once per fabric and reuse the schedule. [`AlgorithmCache`] keys the
-//! compact serialization (`collective::export::to_compact`) by a structural
-//! fingerprint of all three inputs.
+//! Generation is deterministic per (topology, collective, config, seed),
+//! so production deployments — like the CCLs the paper targets —
+//! synthesize once per fabric and reuse the schedule. [`AlgorithmCache`]
+//! stores the compact serialization (`collective::export::to_compact`)
+//! under a structural fingerprint of those inputs:
+//! [`AlgorithmCache::key_with_tag`] for TACOS syntheses,
+//! [`AlgorithmCache::key_for_generator`] for generators without a
+//! synthesizer configuration (the baselines). Lookups go through
+//! [`AlgorithmCache::load`] / [`AlgorithmCache::store`] or the combined
+//! [`AlgorithmCache::load_or_insert_with`]; which key a mechanism gets,
+//! and when it is consulted, is decided in one place —
+//! `tacos-workload`'s evaluation pipeline.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -13,7 +20,6 @@ use tacos_collective::algorithm::CollectiveAlgorithm;
 use tacos_collective::{export, Collective};
 use tacos_topology::Topology;
 
-use crate::error::SynthesisError;
 use crate::synthesis::Synthesizer;
 
 /// Version of the matcher's seeded-schedule semantics, folded into every
@@ -43,8 +49,11 @@ pub const MATCHER_VERSION: u64 = 3;
 /// let coll = Collective::all_reduce(16, ByteSize::mb(64))?;
 /// let cache = AlgorithmCache::new(".tacos-cache")?;
 /// let synth = Synthesizer::new(SynthesizerConfig::default());
+/// let key = AlgorithmCache::key_with_tag("tacos", &synth, &topo, &coll);
 /// // First call synthesizes and stores; later calls load from disk.
-/// let algo = cache.synthesize_cached(&synth, &topo, &coll)?;
+/// let (algo, _outcome) = cache.load_or_insert_with(&key, || {
+///     synth.synthesize(&topo, &coll).map(|r| r.into_algorithm())
+/// })?;
 /// # let _ = algo;
 /// # Ok(())
 /// # }
@@ -56,9 +65,9 @@ pub struct AlgorithmCache {
 
 /// Whether a cached lookup was served from disk or freshly generated.
 ///
-/// Returned by the `*_traced` cache entry points so callers (e.g. the
-/// scenario runner's resumability accounting) can distinguish incremental
-/// re-runs from cold synthesis.
+/// Returned by [`AlgorithmCache::load_or_insert_with`] so callers (e.g.
+/// the scenario runner's resumability accounting) can distinguish
+/// incremental re-runs from cold synthesis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// The algorithm was loaded from the cache directory.
@@ -86,13 +95,8 @@ impl AlgorithmCache {
 
     /// Structural fingerprint of (topology, collective, synthesizer
     /// config): FNV-1a over every link's endpoints and α–β parameters,
-    /// the collective's shape, and the search settings.
-    pub fn key(synth: &Synthesizer, topo: &Topology, collective: &Collective) -> String {
-        Self::key_with_tag("tacos", synth, topo, collective)
-    }
-
-    /// Like [`AlgorithmCache::key`], but namespaced by an algorithm tag so
-    /// non-TACOS generators (baselines run by the scenario engine) can
+    /// the collective's shape, and the search settings — namespaced by an
+    /// algorithm tag (`"tacos"` for syntheses) so other generators can
     /// share the same cache directory without key collisions.
     pub fn key_with_tag(
         tag: &str,
@@ -191,64 +195,7 @@ impl AlgorithmCache {
         result
     }
 
-    /// Synthesizes through the cache: returns the stored schedule when the
-    /// fingerprint matches, otherwise synthesizes, stores, and returns it.
-    ///
-    /// # Errors
-    /// Propagates synthesis errors; storage failures are swallowed (the
-    /// result is still returned).
-    pub fn synthesize_cached(
-        &self,
-        synth: &Synthesizer,
-        topo: &Topology,
-        collective: &Collective,
-    ) -> Result<CollectiveAlgorithm, SynthesisError> {
-        self.synthesize_cached_traced(synth, topo, collective)
-            .map(|(algo, _)| algo)
-    }
-
-    /// [`AlgorithmCache::synthesize_cached`], but also reports whether the
-    /// schedule came from disk or was freshly synthesized.
-    ///
-    /// # Errors
-    /// Propagates synthesis errors; storage failures are swallowed.
-    pub fn synthesize_cached_traced(
-        &self,
-        synth: &Synthesizer,
-        topo: &Topology,
-        collective: &Collective,
-    ) -> Result<(CollectiveAlgorithm, CacheOutcome), SynthesisError> {
-        self.synthesize_cached_traced_with(
-            synth,
-            topo,
-            collective,
-            &mut crate::SynthesisScratch::new(),
-        )
-    }
-
-    /// [`AlgorithmCache::synthesize_cached_traced`] with caller-provided
-    /// synthesis working memory: on a cache miss, the synthesis reuses
-    /// `scratch` (see [`Synthesizer::synthesize_with`]). Long-running
-    /// sweeps keep one scratch per worker thread.
-    ///
-    /// # Errors
-    /// Propagates synthesis errors; storage failures are swallowed.
-    pub fn synthesize_cached_traced_with(
-        &self,
-        synth: &Synthesizer,
-        topo: &Topology,
-        collective: &Collective,
-        scratch: &mut crate::SynthesisScratch,
-    ) -> Result<(CollectiveAlgorithm, CacheOutcome), SynthesisError> {
-        let key = Self::key(synth, topo, collective);
-        self.load_or_insert_with(&key, || {
-            synth
-                .synthesize_with(topo, collective, scratch)
-                .map(|r| r.into_algorithm())
-        })
-    }
-
-    /// Generic cache entry point: loads `key` if present, otherwise calls
+    /// The cache entry point: loads `key` if present, otherwise calls
     /// `generate`, stores its output, and reports [`CacheOutcome::Miss`].
     ///
     /// The error type is the generator's own — this is what lets the
@@ -324,6 +271,23 @@ mod tests {
         (topo, coll, synth)
     }
 
+    fn key(synth: &Synthesizer, topo: &Topology, coll: &Collective) -> String {
+        AlgorithmCache::key_with_tag("tacos", synth, topo, coll)
+    }
+
+    fn synthesize_cached(
+        cache: &AlgorithmCache,
+        synth: &Synthesizer,
+        topo: &Topology,
+        coll: &Collective,
+    ) -> (CollectiveAlgorithm, CacheOutcome) {
+        cache
+            .load_or_insert_with(&key(synth, topo, coll), || {
+                synth.synthesize(topo, coll).map(|r| r.into_algorithm())
+            })
+            .unwrap()
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("tacos-cache-test-{tag}-{}", std::process::id()));
@@ -332,16 +296,18 @@ mod tests {
     }
 
     #[test]
-    fn cache_round_trip() {
+    fn cache_round_trip_reports_miss_then_hit() {
         let (topo, coll, synth) = setup();
         let dir = temp_dir("rt");
         let cache = AlgorithmCache::new(&dir).unwrap();
-        let first = cache.synthesize_cached(&synth, &topo, &coll).unwrap();
+        let (first, o1) = synthesize_cached(&cache, &synth, &topo, &coll);
+        assert_eq!(o1, CacheOutcome::Miss);
         // One .tacos file appeared.
         let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(files.len(), 1);
         // Second call loads the identical algorithm from disk.
-        let second = cache.synthesize_cached(&synth, &topo, &coll).unwrap();
+        let (second, o2) = synthesize_cached(&cache, &synth, &topo, &coll);
+        assert_eq!(o2, CacheOutcome::Hit);
         assert_eq!(first, second);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -349,18 +315,18 @@ mod tests {
     #[test]
     fn key_is_sensitive_to_inputs() {
         let (topo, coll, synth) = setup();
-        let base = AlgorithmCache::key(&synth, &topo, &coll);
+        let base = key(&synth, &topo, &coll);
         // Different seed, different key.
         let synth2 = Synthesizer::new(SynthesizerConfig::default().with_seed(5));
-        assert_ne!(base, AlgorithmCache::key(&synth2, &topo, &coll));
+        assert_ne!(base, key(&synth2, &topo, &coll));
         // Different size, different key.
         let coll2 = Collective::all_gather(9, ByteSize::mb(18)).unwrap();
-        assert_ne!(base, AlgorithmCache::key(&synth, &topo, &coll2));
+        assert_ne!(base, key(&synth, &topo, &coll2));
         // Different topology (one link removed), different key.
         let degraded = topo.without_link(tacos_topology::LinkId::new(0));
-        assert_ne!(base, AlgorithmCache::key(&synth, &degraded, &coll));
+        assert_ne!(base, key(&synth, &degraded, &coll));
         // Same inputs, same key (stable).
-        assert_eq!(base, AlgorithmCache::key(&synth, &topo, &coll));
+        assert_eq!(base, key(&synth, &topo, &coll));
     }
 
     #[test]
@@ -370,9 +336,7 @@ mod tests {
         // missing from the fingerprint would serve one configuration's
         // schedule to another — a stale cross-config hit.
         let (topo, coll, _) = setup();
-        let key_of = |config: SynthesizerConfig| {
-            AlgorithmCache::key(&Synthesizer::new(config), &topo, &coll)
-        };
+        let key_of = |config: SynthesizerConfig| key(&Synthesizer::new(config), &topo, &coll);
         let base_config = SynthesizerConfig::default().with_seed(4);
         let base = key_of(base_config.clone());
         assert_ne!(base, key_of(base_config.clone().with_attempts(8)));
@@ -390,10 +354,7 @@ mod tests {
         )
         .unwrap();
         let synth = Synthesizer::new(base_config.clone());
-        assert_ne!(
-            AlgorithmCache::key(&synth, &topo, &coll),
-            AlgorithmCache::key(&synth, &topo, &chunked)
-        );
+        assert_ne!(key(&synth, &topo, &coll), key(&synth, &topo, &chunked));
         // All four distinct configurations produce four distinct keys.
         let keys = [
             base,
@@ -409,23 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_outcome_reports_miss_then_hit() {
-        let (topo, coll, synth) = setup();
-        let dir = temp_dir("traced");
-        let cache = AlgorithmCache::new(&dir).unwrap();
-        let (first, o1) = cache
-            .synthesize_cached_traced(&synth, &topo, &coll)
-            .unwrap();
-        assert_eq!(o1, CacheOutcome::Miss);
-        let (second, o2) = cache
-            .synthesize_cached_traced(&synth, &topo, &coll)
-            .unwrap();
-        assert_eq!(o2, CacheOutcome::Hit);
-        assert_eq!(first, second);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn tagged_keys_namespace_the_cache() {
         let (topo, coll, synth) = setup();
         let tacos = AlgorithmCache::key_with_tag("tacos", &synth, &topo, &coll);
@@ -433,8 +377,6 @@ mod tests {
         assert_ne!(tacos, ring);
         assert!(tacos.starts_with("tacos-"));
         assert!(ring.starts_with("ring-"));
-        // The default key is the "tacos" tag.
-        assert_eq!(tacos, AlgorithmCache::key(&synth, &topo, &coll));
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //!   (in code or docs) so nobody changes matching semantics without
 //!   confronting the version bump.
 
+//! * **One evaluation pipeline** — a mechanism becomes a schedule and a
+//!   time only in `tacos-workload`'s `evaluate` module; a front-end crate
+//!   (`cli`, `scenario`, `serve`) constructing a baseline generator or a
+//!   simulator is a private copy of that pipeline regrowing.
+
 use crate::lexer::TokKind;
 use crate::source::SourceFile;
 use crate::{Finding, Rule};
@@ -169,6 +174,42 @@ pub fn analyze_rename(f: &SourceFile) -> Vec<Finding> {
     out
 }
 
+/// Flags `BaselineAlgorithm::new(` / `Simulator::new(` in the front-end
+/// crates' production source (test code may build references freely).
+pub fn analyze_pipeline_copies(f: &SourceFile) -> Vec<Finding> {
+    const FRONT_ENDS: [&str; 3] = [
+        "crates/cli/src/",
+        "crates/scenario/src/",
+        "crates/serve/src/",
+    ];
+    let mut out = Vec::new();
+    if !FRONT_ENDS.iter().any(|p| f.rel.starts_with(p)) {
+        return out;
+    }
+    for w in f.toks.windows(5) {
+        let text = |i: usize| w[i].text.as_str();
+        let ty = text(0);
+        if matches!(ty, "BaselineAlgorithm" | "Simulator")
+            && [text(1), text(2), text(3), text(4)] == [":", ":", "new", "("]
+            && !f.in_test_code(w[0].line)
+        {
+            out.push(Finding {
+                rule: Rule::Design,
+                file: f.rel.clone(),
+                line: w[0].line,
+                token: format!("{ty}::new"),
+                message: format!(
+                    "`{ty}::new(` in a front-end crate — mechanisms are generated and timed \
+                     only by tacos-workload's evaluation pipeline (Mechanism::plan / \
+                     Generation::generate / Evaluator::evaluate); call that instead of \
+                     growing a private copy"
+                ),
+            });
+        }
+    }
+    out
+}
+
 /// Requires every matcher-kernel file to reference `MATCHER_VERSION`.
 pub fn analyze_matcher_version(files: &[SourceFile], kernel: &[String]) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -246,6 +287,20 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 3);
         assert!(f[0].message.contains("fn save"));
+    }
+
+    #[test]
+    fn pipeline_copies_are_flagged_in_front_ends_only() {
+        let src = "fn time() {\n  let r = Simulator::new().simulate(t, a);\n}\n\
+                   #[cfg(test)]\nmod tests {\n  fn reference() { BaselineAlgorithm::new(k); }\n}\n";
+        let front = SourceFile::parse("crates/scenario/src/runner.rs".into(), src.into());
+        let f = analyze_pipeline_copies(&front);
+        assert_eq!(f.len(), 1, "test-code construction is exempt: {f:?}");
+        assert_eq!((f[0].line, f[0].token.as_str()), (2, "Simulator::new"));
+        // The pipeline's own crate (and every non-front-end crate) may
+        // construct both.
+        let owner = SourceFile::parse("crates/workload/src/evaluate.rs".into(), src.into());
+        assert!(analyze_pipeline_copies(&owner).is_empty());
     }
 
     #[test]

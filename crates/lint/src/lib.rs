@@ -6,11 +6,14 @@
 //! model ([`source`]), and four analyses on top:
 //!
 //! * [`locks`] — lock-order deadlock detection over `crates/core` +
-//!   `crates/serve`, with call-graph propagation and cycle reporting.
+//!   `crates/serve` (followed through `crates/workload`, which sits on
+//!   the call path between them), with call-graph propagation and cycle
+//!   reporting.
 //! * [`panics`] — panic-path audit of the designated serving modules.
 //! * [`unsafety`] — every `unsafe` needs an adjacent `// SAFETY:`.
-//! * [`design`] — dependency policy, durable-write pairing, and the
-//!   `MATCHER_VERSION` matcher-kernel rule.
+//! * [`design`] — dependency policy, durable-write pairing, the
+//!   `MATCHER_VERSION` matcher-kernel rule, and the one-evaluation-pipeline
+//!   rule for the front-end crates.
 //!
 //! Output is deterministic (path-sorted, stable messages) so CI diffs
 //! are meaningful, and a committed count-ratcheted [`baseline`] lets
@@ -101,7 +104,13 @@ impl Options {
                 "crates/collective/src/bits.rs".into(),
                 "crates/collective/src/matrix.rs".into(),
             ],
-            lock_domain_prefixes: vec!["crates/core/src/".into(), "crates/serve/src/".into()],
+            // `workload` holds no lock but sits on the call path from the
+            // daemon's workers into `core`: nesting is followed through it.
+            lock_domain_prefixes: vec![
+                "crates/core/src/".into(),
+                "crates/serve/src/".into(),
+                "crates/workload/src/".into(),
+            ],
         }
     }
 }
@@ -202,10 +211,12 @@ fn collect(opts: &Options) -> Result<(Vec<Finding>, usize, Stats), String> {
         }
     }
 
-    // Unsafe hygiene and durable-write pairing, workspace-wide.
+    // Unsafe hygiene, durable-write pairing and the one-pipeline rule,
+    // workspace-wide.
     for f in &files {
         findings.extend(unsafety::analyze(f));
         findings.extend(design::analyze_rename(f));
+        findings.extend(design::analyze_pipeline_copies(f));
     }
 
     // Matcher-kernel fingerprint rule.

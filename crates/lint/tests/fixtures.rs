@@ -88,6 +88,10 @@ fn broken_tree_fails_every_rule_with_location() {
         "banned dependency"
     );
 
+    // Design: a front-end crate regrowing a private copy of the
+    // evaluation pipeline.
+    assert!(has(Rule::Design, "crates/serve/src/copy.rs", 5), "copy");
+
     // Lock order: the AB/BA pair must produce a cycle finding whose
     // message carries both acquisition chains (file:line witnesses).
     let cycle = out

@@ -72,9 +72,9 @@ pub use grid::{expand, ScenarioPoint};
 pub use progress::Progress;
 pub use runner::{run, PointMetrics, PointRecord, RunSummary, INTERRUPTED, TIMED_OUT};
 pub use spec::{
-    parse_algo, parse_baseline, parse_pattern, parse_size, parse_topology, select_failed_links,
-    AxisValues, CustomLink, CustomTopology, CustomTopologyBody, Evaluation, ExcludeRule, GroupKey,
-    LinkAxis, MetricColumn, ReportSettings, RunSettings, ScenarioSpec, SweepAxes, TimelineSettings,
+    parse_baseline, parse_pattern, parse_size, parse_topology, select_failed_links, AxisValues,
+    CustomLink, CustomTopology, CustomTopologyBody, Evaluation, ExcludeRule, GroupKey, LinkAxis,
+    MetricColumn, ReportSettings, RunSettings, ScenarioSpec, SweepAxes, TimelineSettings,
     WithoutLinks, WorkloadSettings,
 };
 pub use tacos_workload::{Mechanism, Parallelism, SynthMechanism};

@@ -28,14 +28,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use tacos_baselines::{BaselineAlgorithm, IdealBound};
-use tacos_collective::algorithm::CollectiveAlgorithm;
-use tacos_collective::{Collective, CollectivePattern};
-use tacos_core::{AlgorithmCache, CacheOutcome, SynthesisScratch, Synthesizer, SynthesizerConfig};
+use tacos_collective::CollectivePattern;
+use tacos_core::{AlgorithmCache, CacheOutcome, SynthesisScratch, SynthesizerConfig};
 use tacos_report::{to_csv, Json};
-use tacos_sim::{LinkLoadStats, SimReport, Simulator, TimelineSegment};
+use tacos_sim::{LinkLoadStats, SimReport, TimelineSegment};
 use tacos_topology::{Time, Topology};
-use tacos_workload::{Mechanism, TrainingEvaluator, TrainingReport, Workload, WorkloadError};
+use tacos_workload::{
+    bandwidth_gbps, Evaluator, Mechanism, TrainingEvaluator, TrainingReport, Workload,
+};
 
 use crate::error::ScenarioError;
 use crate::grid::{expand, ScenarioPoint};
@@ -942,8 +942,9 @@ fn execute_point_with_timeout(
     }
 }
 
-/// The bandwidth evaluation: collective → algorithm (through the cache)
-/// → completion time and link statistics.
+/// The bandwidth evaluation: one collective through the shared pipeline
+/// ([`Evaluator::evaluate`]) → completion time and link statistics,
+/// framed against the ideal bound.
 fn execute_bandwidth_point(
     spec: &ScenarioSpec,
     point: &ScenarioPoint,
@@ -953,126 +954,36 @@ fn execute_bandwidth_point(
     scratch: &mut SynthesisScratch,
 ) -> Result<PointMetrics, String> {
     let pattern = parse_pattern(&point.collective, topo.num_npus())?;
-    let ideal = IdealBound::new(topo);
-
-    if *mechanism == Mechanism::Ideal {
-        // The theoretical bound: nothing to generate or simulate.
-        let collective_time = ideal.collective_time(pattern, point.size);
-        return Ok(PointMetrics {
-            num_npus: topo.num_npus(),
-            collective_time,
-            bandwidth_gbps: Some(bandwidth_gbps(point.size.as_u64(), collective_time)),
-            efficiency: ideal.efficiency(pattern, point.size, collective_time),
-            chunks: point.chunks,
-            transfers: 0,
-            synthesis_seconds: 0.0,
-            cache: None,
-            simulated: false,
-            link_stats: None,
-            timeline: None,
-            training: None,
-        });
-    }
-
-    // A `tacos:...` variant's chunking override applies to this algorithm
-    // only, so the paper's chunked TACOS variants can share a grid with
-    // unchunked baselines.
-    let chunks = match mechanism {
-        Mechanism::Tacos(m) => m.chunks.unwrap_or(point.chunks),
-        _ => point.chunks,
-    };
-    let collective = Collective::with_chunking(pattern, topo.num_npus(), chunks, point.size)
-        .map_err(|e| e.to_string())?;
-
-    let started = Instant::now();
-    let (algorithm, outcome): (CollectiveAlgorithm, Option<CacheOutcome>) = match mechanism {
-        Mechanism::Ideal => unreachable!("handled above"),
-        Mechanism::Tacos(m) => {
-            let synth = Synthesizer::new(m.config.clone());
-            match cache {
-                Some(c) => {
-                    let (algo, outcome) = c
-                        .synthesize_cached_traced_with(&synth, topo, &collective, scratch)
-                        .map_err(|e| e.to_string())?;
-                    (algo, Some(outcome))
-                }
-                None => (
-                    synth
-                        .synthesize_with(topo, &collective, scratch)
-                        .map_err(|e| e.to_string())?
-                        .into_algorithm(),
-                    None,
-                ),
-            }
-        }
-        Mechanism::Baseline(kind) => {
-            let generate = || {
-                BaselineAlgorithm::new(kind.clone())
-                    .generate(topo, &collective)
-                    .map_err(|e| e.to_string())
-            };
-            match cache {
-                Some(c) => {
-                    // Deterministic baselines ignore the synthesizer's
-                    // seed/attempts, so their key must too — otherwise a
-                    // seed sweep regenerates identical algorithms. Randomized
-                    // baselines report the seed they consume via
-                    // `BaselineKind::seed`.
-                    let salt = kind.seed().unwrap_or(0);
-                    let key =
-                        AlgorithmCache::key_for_generator(&point.algo, topo, &collective, salt);
-                    let (algo, outcome) = c.load_or_insert_with(&key, generate)?;
-                    (algo, Some(outcome))
-                }
-                None => (generate()?, None),
-            }
-        }
-    };
-    let synthesis_seconds = started.elapsed().as_secs_f64();
-
-    let sim_report: Option<SimReport> = if spec.run.simulate || algorithm.planned_time().is_none() {
-        Some(
-            Simulator::new()
-                .simulate(topo, &algorithm)
-                .map_err(|e| e.to_string())?,
-        )
-    } else {
-        None
-    };
-    let (collective_time, simulated) = match &sim_report {
-        Some(r) => (r.collective_time(), true),
-        None => (algorithm.collective_time(), false),
-    };
-    let link_stats = sim_report.as_ref().map(SimReport::link_load_stats);
-    let timeline = match (&spec.timeline, &sim_report) {
-        (Some(settings), Some(report)) => Some(capture_timeline(settings, report)),
-        _ => None,
-    };
-
+    let evaluator = Evaluator::new(topo, mechanism)
+        .with_cache(cache, &point.algo)
+        .with_simulation(spec.run.simulate);
+    let evaluated = evaluator
+        .evaluate(pattern, point.size, point.chunks, scratch)
+        .map_err(|e| e.cause())?;
+    let timeline = spec.timeline.as_ref().zip(evaluated.sim.as_ref());
     Ok(PointMetrics {
         num_npus: topo.num_npus(),
-        collective_time,
-        bandwidth_gbps: Some(bandwidth_gbps(point.size.as_u64(), collective_time)),
-        efficiency: ideal.efficiency(pattern, point.size, collective_time),
-        chunks,
-        transfers: algorithm.len() as u64,
-        synthesis_seconds,
-        cache: outcome,
-        simulated,
-        link_stats,
-        timeline,
+        collective_time: evaluated.time,
+        bandwidth_gbps: Some(bandwidth_gbps(point.size, evaluated.time)),
+        efficiency: evaluator
+            .ideal()
+            .efficiency(pattern, point.size, evaluated.time),
+        chunks: evaluated.chunks,
+        transfers: evaluated.transfers,
+        synthesis_seconds: evaluated.generate_seconds,
+        cache: evaluated.cache,
+        simulated: evaluated.sim.is_some(),
+        link_stats: evaluated.sim.as_ref().map(SimReport::link_load_stats),
+        timeline: timeline.map(|(settings, report)| capture_timeline(settings, report)),
         training: None,
     })
 }
 
 /// The training evaluation: one iteration of the point's workload model,
-/// its gradient collectives resolved under the point's mechanism with
-/// every algorithm routed through the cache. The breakdown accounting
-/// itself (parallelism pattern, compute overlap) lives in
-/// [`TrainingEvaluator`] — this function only supplies cached collective
-/// times, restating [`TrainingEvaluator::all_reduce_time`]'s measurement
-/// path: baselines generate then simulate, TACOS syntheses report their
-/// planned time, the ideal mechanism the theoretical bound.
+/// every gradient All-Reduce resolved through the shared pipeline
+/// ([`Evaluator::evaluate`], so schedules route through the cache). The
+/// breakdown accounting (parallelism pattern, compute overlap) and the
+/// training chunk rule live in [`TrainingEvaluator`].
 fn execute_training_point(
     settings: &WorkloadSettings,
     point: &ScenarioPoint,
@@ -1086,81 +997,37 @@ fn execute_training_point(
         .as_deref()
         .ok_or_else(|| "training grids carry a model per point".to_string())?;
     let workload = Workload::parse(model)?;
-    // The evaluator's semantics: chunking only applies to synthesized
-    // collectives; baselines run unchunked and the bound has no
-    // collective at all. `chunks` is what the metrics report — the
-    // chunking the gradient collectives actually ran with.
-    let chunks = match mechanism {
-        Mechanism::Tacos(m) => m.chunks.unwrap_or(point.chunks),
-        Mechanism::Baseline(_) | Mechanism::Ideal => 1,
-    };
-    let evaluator = TrainingEvaluator::new(topo)
-        .with_chunks(chunks)
+    let training = TrainingEvaluator::new(topo)
+        .with_chunks(point.chunks)
         .with_parallelism(settings.parallelism)
         .with_overlap(settings.overlap);
-    // One all-pairs bound per point, shared by the Ideal resolver and
-    // the efficiency framing (not one per gradient collective).
-    let ideal = IdealBound::new(topo);
+    let caller_chunks = training.chunks_for(mechanism);
+    // What the metrics report: the chunking the gradient collectives
+    // actually ran with (a `tacos:N` variant overrides the caller's).
+    let mut chunks = caller_chunks;
+    // One evaluator per point: its ideal bound is shared by the Ideal
+    // mechanism and the efficiency framing, not rebuilt per collective.
+    let evaluator = Evaluator::new(topo, mechanism).with_cache(cache, &point.algo);
 
-    let n = topo.num_npus();
     let mut transfers = 0u64;
     let mut synthesis_seconds = 0.0f64;
-    let mut outcomes: Vec<Option<CacheOutcome>> = Vec::new();
-    let report = evaluator
-        .evaluate_with_times(&workload, |size| -> Result<Time, WorkloadError> {
-            match mechanism {
-                Mechanism::Ideal => {
-                    outcomes.push(None);
-                    Ok(ideal.collective_time(CollectivePattern::AllReduce, size))
-                }
-                Mechanism::Tacos(m) => {
-                    let coll =
-                        Collective::with_chunking(CollectivePattern::AllReduce, n, chunks, size)?;
-                    let synth = Synthesizer::new(m.config.clone());
-                    let started = Instant::now();
-                    let algorithm = match cache {
-                        Some(c) => {
-                            let (algo, outcome) =
-                                c.synthesize_cached_traced_with(&synth, topo, &coll, scratch)?;
-                            outcomes.push(Some(outcome));
-                            algo
-                        }
-                        None => {
-                            outcomes.push(None);
-                            synth
-                                .synthesize_with(topo, &coll, scratch)?
-                                .into_algorithm()
-                        }
-                    };
-                    synthesis_seconds += started.elapsed().as_secs_f64();
-                    transfers += algorithm.len() as u64;
-                    Ok(algorithm.collective_time())
-                }
-                Mechanism::Baseline(kind) => {
-                    let coll = Collective::all_reduce(n, size)?;
-                    let generate = || BaselineAlgorithm::new(kind.clone()).generate(topo, &coll);
-                    let started = Instant::now();
-                    let algorithm = match cache {
-                        Some(c) => {
-                            let salt = kind.seed().unwrap_or(0);
-                            let key =
-                                AlgorithmCache::key_for_generator(&point.algo, topo, &coll, salt);
-                            let (algo, outcome) = c.load_or_insert_with(&key, generate)?;
-                            outcomes.push(Some(outcome));
-                            algo
-                        }
-                        None => {
-                            outcomes.push(None);
-                            generate()?
-                        }
-                    };
-                    synthesis_seconds += started.elapsed().as_secs_f64();
-                    transfers += algorithm.len() as u64;
-                    Ok(Simulator::new()
-                        .simulate(topo, &algorithm)?
-                        .collective_time())
-                }
-            }
+    // A training point runs several collectives: the cache column only
+    // reads `hit` when every one of them was served from disk, and `off`
+    // when any ran uncached (no cache directory, or the ideal bound).
+    let mut cache_outcome = Some(CacheOutcome::Hit);
+    let report = training
+        .evaluate_with_times(&workload, |size| {
+            let evaluated =
+                evaluator.evaluate(CollectivePattern::AllReduce, size, caller_chunks, scratch)?;
+            chunks = evaluated.chunks;
+            transfers += evaluated.transfers;
+            synthesis_seconds += evaluated.generate_seconds;
+            cache_outcome = match (cache_outcome, evaluated.cache) {
+                (Some(CacheOutcome::Hit), Some(outcome)) => Some(outcome),
+                (Some(CacheOutcome::Miss), Some(_)) => Some(CacheOutcome::Miss),
+                _ => None,
+            };
+            Ok(evaluated.time)
         })
         .map_err(|e| e.to_string())?;
 
@@ -1171,7 +1038,8 @@ fn execute_training_point(
     let efficiency = if *mechanism == Mechanism::Ideal || total.is_zero() {
         1.0
     } else {
-        let ideal_total = evaluator
+        let ideal = evaluator.ideal();
+        let ideal_total = training
             .evaluate_with_times(&workload, |size| {
                 Ok(ideal.collective_time(CollectivePattern::AllReduce, size))
             })
@@ -1179,18 +1047,9 @@ fn execute_training_point(
             .total();
         ideal_total.as_secs_f64() / total.as_secs_f64()
     };
-    // A training point runs several collectives: the cache column only
-    // reads `hit` when every one of them was served from disk.
-    let cache_outcome = if outcomes.iter().any(Option::is_none) {
-        None
-    } else if outcomes.iter().all(|o| *o == Some(CacheOutcome::Hit)) {
-        Some(CacheOutcome::Hit)
-    } else {
-        Some(CacheOutcome::Miss)
-    };
 
     Ok(PointMetrics {
-        num_npus: n,
+        num_npus: topo.num_npus(),
         collective_time: total,
         bandwidth_gbps: None,
         efficiency,
@@ -1221,18 +1080,14 @@ fn capture_timeline(settings: &TimelineSettings, report: &SimReport) -> PointTim
     }
 }
 
-fn bandwidth_gbps(size_bytes: u64, time: Time) -> f64 {
-    if time.is_zero() {
-        f64::INFINITY
-    } else {
-        size_bytes as f64 / time.as_secs_f64() / 1e9
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::ScenarioSpec;
+    use tacos_baselines::BaselineAlgorithm;
+    use tacos_collective::Collective;
+    use tacos_core::Synthesizer;
+    use tacos_sim::Simulator;
 
     fn toml_spec(body: &str) -> ScenarioSpec {
         let mut spec = ScenarioSpec::from_toml_str(body).unwrap();

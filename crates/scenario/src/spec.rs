@@ -58,19 +58,18 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
-use tacos_collective::CollectivePattern;
 use tacos_core::SynthesizerConfig;
-use tacos_topology::{
-    Bandwidth, ByteSize, LinkId, LinkSpec, NpuId, RingOrientation, Time, Topology, TopologyBuilder,
-};
+use tacos_topology::{Bandwidth, LinkId, LinkSpec, NpuId, Time, Topology, TopologyBuilder};
 use tacos_workload::{Mechanism, Parallelism, Workload};
 
 use crate::error::ScenarioError;
 use crate::toml::{self, Table, Value};
 
-/// Re-exported so the CLI and parity tests keep one algorithm-spec
-/// vocabulary (the definitions moved to `tacos-workload` when the
-/// evaluation layer was unified around [`Mechanism`]).
+/// The string-spec vocabulary lives beside the types it parses
+/// (`tacos-topology`, `tacos-collective`, `tacos-workload`); re-exported
+/// so scenario files, the CLI and the parity tests keep one import path.
+pub use tacos_collective::parse_pattern;
+pub use tacos_topology::{parse_size, parse_topology};
 pub use tacos_workload::parse_baseline;
 
 /// One value of the `link` sweep axis: an α–β spec in display units.
@@ -2200,275 +2199,6 @@ fn expect_float(t: &Table, table: &str, key: &str) -> Result<f64, ScenarioError>
     Ok(v)
 }
 
-// ---------------------------------------------------------------------------
-// String-spec parsers. These are the single source of truth for the CLI's
-// `--topology` / `--collective` / `--size` / `--algo` arguments too.
-// ---------------------------------------------------------------------------
-
-/// Parses a topology spec string (`mesh:3x3`, `ring:8`, `dgx1`, ...) into
-/// a [`Topology`] with homogeneous `link` costs.
-///
-/// The heterogeneous families derive their tier bandwidths from `link`
-/// via explicit ratio suffixes:
-///
-/// * `rfs:RxFxS[:R1xR2xR3]` — per-tier (ring, fully-connected, switch)
-///   bandwidth multipliers, default `4x2x1`. E.g. under a 50 GB/s link,
-///   `rfs:2x4x8` builds tiers at 200/100/50 GB/s (the paper's Table V
-///   system) and `rfs:2x4x8:1x1x1` a homogeneous one.
-/// * `dragonfly:GxP[:R]` — global-link bandwidth multiplier, default
-///   `0.5` (global links at half the local bandwidth).
-/// * `switch2d:RxC[:R]` — second-dimension switch bandwidth multiplier,
-///   default `1.0`.
-///
-/// Every topology keeps the `link` latency α on all tiers. For absolute
-/// per-tier bandwidths, describe the system as a `[[topologies]]` family
-/// entry instead (see [`CustomTopologyBody::Family`]).
-///
-/// # Errors
-/// Returns a message for unknown families, malformed dimensions, or
-/// non-positive ratio values.
-pub fn parse_topology(spec: &str, link: LinkSpec) -> Result<Topology, String> {
-    let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
-    let dims = |s: &str| -> Result<Vec<usize>, String> {
-        s.split('x')
-            .map(|d| {
-                d.parse::<usize>()
-                    .map_err(|e| format!("bad dimension '{d}': {e}"))
-            })
-            .collect()
-    };
-    let topo = match kind {
-        "ring" => Topology::ring(
-            rest.parse().map_err(|e| format!("bad ring size: {e}"))?,
-            link,
-            RingOrientation::Bidirectional,
-        ),
-        "ring-uni" => Topology::ring(
-            rest.parse().map_err(|e| format!("bad ring size: {e}"))?,
-            link,
-            RingOrientation::Unidirectional,
-        ),
-        "fc" => {
-            Topology::fully_connected(rest.parse().map_err(|e| format!("bad fc size: {e}"))?, link)
-        }
-        "mesh" => {
-            let d = dims(rest)?;
-            if d.len() != 2 {
-                return Err("mesh needs RxC".into());
-            }
-            Topology::mesh_2d(d[0], d[1], link)
-        }
-        "torus" => {
-            let d = dims(rest)?;
-            match d.len() {
-                2 => Topology::torus_2d(d[0], d[1], link),
-                3 => Topology::torus_3d(d[0], d[1], d[2], link),
-                _ => return Err("torus needs XxY or XxYxZ".into()),
-            }
-        }
-        "hypercube" => {
-            let d = dims(rest)?;
-            if d.len() != 3 {
-                return Err("hypercube needs XxYxZ".into());
-            }
-            Topology::hypercube_3d(d[0], d[1], d[2], link)
-        }
-        "switch" => {
-            let (n, degree) = match rest.split_once(":d") {
-                Some((n, d)) => (
-                    n.parse().map_err(|e| format!("bad switch size: {e}"))?,
-                    d.parse().map_err(|e| format!("bad degree: {e}"))?,
-                ),
-                None => (
-                    rest.parse().map_err(|e| format!("bad switch size: {e}"))?,
-                    1,
-                ),
-            };
-            Topology::switch(n, link, degree)
-        }
-        "switch2d" => {
-            let (dim_str, ratio_str) = split_ratio_suffix(rest);
-            let d = dims(dim_str)?;
-            if d.len() != 2 {
-                return Err("switch2d needs RxC[:RATIO]".into());
-            }
-            let r = match ratio_str {
-                Some(s) => {
-                    let r = ratios(s)?;
-                    if r.len() != 1 {
-                        return Err("switch2d bandwidth suffix needs one ratio".into());
-                    }
-                    r[0]
-                }
-                None => 1.0,
-            };
-            Topology::switch_2d(
-                d[0],
-                d[1],
-                link.alpha(),
-                [link.bandwidth().as_gbps(), link.bandwidth().as_gbps() * r],
-            )
-        }
-        "rfs" => {
-            let (dim_str, ratio_str) = split_ratio_suffix(rest);
-            let d = dims(dim_str)?;
-            if d.len() != 3 {
-                return Err("rfs needs RxFxS[:R1xR2xR3]".into());
-            }
-            let r = match ratio_str {
-                Some(s) => {
-                    let r = ratios(s)?;
-                    if r.len() != 3 {
-                        return Err("rfs bandwidth suffix needs three ratios (R1xR2xR3)".into());
-                    }
-                    [r[0], r[1], r[2]]
-                }
-                None => [4.0, 2.0, 1.0],
-            };
-            Topology::rfs_3d(
-                d[0],
-                d[1],
-                d[2],
-                link.alpha(),
-                [
-                    link.bandwidth().as_gbps() * r[0],
-                    link.bandwidth().as_gbps() * r[1],
-                    link.bandwidth().as_gbps() * r[2],
-                ],
-            )
-        }
-        "dragonfly" => {
-            let (dim_str, ratio_str) = split_ratio_suffix(rest);
-            let d = dims(dim_str)?;
-            if d.len() != 2 {
-                return Err("dragonfly needs GROUPSxPER_GROUP[:RATIO]".into());
-            }
-            let r = match ratio_str {
-                Some(s) => {
-                    let r = ratios(s)?;
-                    if r.len() != 1 {
-                        return Err("dragonfly bandwidth suffix needs one global ratio".into());
-                    }
-                    r[0]
-                }
-                None => 0.5,
-            };
-            let global = LinkSpec::new(
-                link.alpha(),
-                Bandwidth::gbps(link.bandwidth().as_gbps() * r),
-            );
-            Topology::dragonfly(d[0], d[1], link, global)
-        }
-        "dgx1" => Topology::dgx1(link),
-        other => return Err(format!("unknown topology kind '{other}'")),
-    };
-    topo.map_err(|e| e.to_string())
-}
-
-/// Splits an optional `:`-separated bandwidth-ratio suffix off a
-/// heterogeneous topology's dimension string.
-fn split_ratio_suffix(rest: &str) -> (&str, Option<&str>) {
-    match rest.split_once(':') {
-        Some((dims, ratios)) => (dims, Some(ratios)),
-        None => (rest, None),
-    }
-}
-
-/// Parses an `x`-separated list of positive bandwidth ratios.
-fn ratios(s: &str) -> Result<Vec<f64>, String> {
-    s.split('x')
-        .map(|r| {
-            let v: f64 = r
-                .parse()
-                .map_err(|e| format!("bad bandwidth ratio '{r}': {e}"))?;
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!("bandwidth ratio '{r}' must be > 0"));
-            }
-            Ok(v)
-        })
-        .collect()
-}
-
-/// Parses a collective pattern name, optionally rooted (`broadcast:3`).
-///
-/// # Errors
-/// Returns a message for unknown patterns or out-of-range roots.
-pub fn parse_pattern(s: &str, num_npus: usize) -> Result<CollectivePattern, String> {
-    let (name, root) = match s.split_once(':') {
-        Some((name, root)) => {
-            let root: usize = root
-                .parse()
-                .map_err(|e| format!("bad root '{root}': {e}"))?;
-            if root >= num_npus {
-                return Err(format!("root {root} out of range for {num_npus} NPUs"));
-            }
-            (name, NpuId::new(root as u32))
-        }
-        None => (s, NpuId::new(0)),
-    };
-    match name {
-        "all-gather" | "allgather" | "ag" => Ok(CollectivePattern::AllGather),
-        "reduce-scatter" | "reducescatter" | "rs" => Ok(CollectivePattern::ReduceScatter),
-        "all-reduce" | "allreduce" | "ar" => Ok(CollectivePattern::AllReduce),
-        "all-to-all" | "alltoall" | "a2a" => Ok(CollectivePattern::AllToAll),
-        "broadcast" | "bcast" => Ok(CollectivePattern::Broadcast { root }),
-        "reduce" => Ok(CollectivePattern::Reduce { root }),
-        "gather" => Ok(CollectivePattern::Gather { root }),
-        "scatter" => Ok(CollectivePattern::Scatter { root }),
-        other => Err(format!("unknown collective '{other}'")),
-    }
-}
-
-/// Parses an `algo` axis entry into its [`Mechanism`] under a base
-/// synthesizer configuration (the point's `seed` / `attempts` /
-/// `synth.prefer_cheap_links` axis values): `tacos`, `tacos:4`,
-/// `tacos:attempts=64,...`, `ideal`, or any [`parse_baseline`] spec.
-///
-/// This is [`Mechanism::parse`] re-exposed next to the other string-spec
-/// parsers the CLI shares.
-///
-/// # Errors
-/// Returns a message for unknown algorithms or malformed parameters.
-pub fn parse_algo(s: &str, base: &SynthesizerConfig) -> Result<Mechanism, String> {
-    Mechanism::parse(s, base)
-}
-
-/// Parses a human-readable byte size (`64MB`, `0.5GB`, `1.5GiB`,
-/// `64 MB`, `512`).
-///
-/// The numeric part may be fractional and whitespace is allowed around
-/// the number/unit split; the resulting byte count is rounded to the
-/// nearest integer byte.
-///
-/// # Errors
-/// Returns a message for unparseable or negative numbers and unknown
-/// units.
-pub fn parse_size(s: &str) -> Result<ByteSize, String> {
-    let s = s.trim();
-    let split = s.find(|c: char| c.is_ascii_alphabetic()).unwrap_or(s.len());
-    let (num, unit) = s.split_at(split);
-    let value: f64 = num
-        .trim()
-        .parse()
-        .map_err(|e| format!("bad size '{s}': {e}"))?;
-    if !value.is_finite() || value < 0.0 {
-        return Err(format!(
-            "bad size '{s}': must be a finite non-negative value"
-        ));
-    }
-    let multiplier: f64 = match unit.trim().to_ascii_uppercase().as_str() {
-        "B" | "" => 1.0,
-        "KB" => 1e3,
-        "MB" => 1e6,
-        "GB" => 1e9,
-        "KIB" => 1024.0,
-        "MIB" => 1024.0 * 1024.0,
-        "GIB" => 1024.0 * 1024.0 * 1024.0,
-        other => return Err(format!("unknown size unit '{other}'")),
-    };
-    Ok(ByteSize::bytes((value * multiplier).round() as u64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2759,104 +2489,6 @@ cache = false
         assert!(spec.run.simulate);
         assert_eq!(spec.run.threads, 8);
         assert_eq!(spec.run.cache, None);
-    }
-
-    #[test]
-    fn string_parsers_cover_paper_specs() {
-        let link = LinkAxis::default_paper().to_spec();
-        assert_eq!(parse_topology("ring:8", link).unwrap().num_npus(), 8);
-        assert_eq!(parse_topology("mesh:3x3", link).unwrap().num_npus(), 9);
-        assert_eq!(parse_topology("torus:2x2x2", link).unwrap().num_npus(), 8);
-        assert_eq!(parse_topology("dgx1", link).unwrap().num_npus(), 8);
-        assert!(parse_topology("blob:3", link).is_err());
-        assert_eq!(
-            parse_pattern("ar", 4).unwrap(),
-            CollectivePattern::AllReduce
-        );
-        assert!(parse_pattern("gather:9", 4).is_err());
-        assert!(matches!(
-            parse_baseline("ring", 0).unwrap(),
-            tacos_baselines::BaselineKind::Ring
-        ));
-        assert_eq!(parse_size("64MB").unwrap(), ByteSize::mb(64));
-    }
-
-    #[test]
-    fn parse_size_accepts_fractional_values_and_inner_whitespace() {
-        assert_eq!(parse_size("0.5GB").unwrap(), ByteSize::mb(500));
-        assert_eq!(parse_size("1.5GiB").unwrap(), ByteSize::mib(1536));
-        assert_eq!(parse_size("64 MB").unwrap(), ByteSize::mb(64));
-        assert_eq!(parse_size("  2.5 KB ").unwrap(), ByteSize::bytes(2_500));
-        assert_eq!(parse_size("0.25MB").unwrap(), ByteSize::kb(250));
-        assert_eq!(parse_size("512").unwrap(), ByteSize::bytes(512));
-        for bad in ["", "MB", "-1MB", "1..5MB", "1e999GB", "12parsecs", "NaNGB"] {
-            assert!(parse_size(bad).is_err(), "'{bad}' should not parse");
-        }
-    }
-
-    /// Distinct per-link bandwidths of a topology, sorted ascending.
-    fn tier_bandwidths(spec: &str) -> Vec<f64> {
-        let topo = parse_topology(spec, LinkAxis::default_paper().to_spec()).unwrap();
-        let mut bws: Vec<f64> = topo
-            .links()
-            .iter()
-            .map(|l| l.spec().bandwidth().as_gbps())
-            .collect();
-        bws.sort_by(f64::total_cmp);
-        bws.dedup();
-        bws
-    }
-
-    #[test]
-    fn rfs_tier_bandwidths_default_to_4x2x1() {
-        // 50 GB/s sweep link => ring 200, fc 100, switch 50 (Table V's
-        // published tiers).
-        assert_eq!(tier_bandwidths("rfs:2x4x2"), [50.0, 100.0, 200.0]);
-        assert_eq!(
-            tier_bandwidths("rfs:2x4x2:4x2x1"),
-            tier_bandwidths("rfs:2x4x2")
-        );
-    }
-
-    #[test]
-    fn rfs_and_dragonfly_ratio_suffixes_are_explicit() {
-        assert_eq!(tier_bandwidths("rfs:2x4x2:8x2x0.5"), [25.0, 100.0, 400.0]);
-        assert_eq!(tier_bandwidths("dragonfly:3x3"), [25.0, 50.0]);
-        assert_eq!(tier_bandwidths("dragonfly:3x3:0.25"), [12.5, 50.0]);
-        let link = LinkAxis::default_paper().to_spec();
-        assert!(parse_topology("rfs:2x4x2:4x2", link).is_err());
-        assert!(parse_topology("rfs:2x4x2:4x2x0", link).is_err());
-        assert!(parse_topology("dragonfly:3x3:0.5x1", link).is_err());
-        assert!(parse_topology("dragonfly:3x3:-1", link).is_err());
-    }
-
-    #[test]
-    fn algo_axis_accepts_tacos_variants_and_ideal() {
-        use tacos_baselines::BaselineKind;
-        let base = SynthesizerConfig::default();
-        assert!(matches!(
-            parse_algo("tacos", &base).unwrap(),
-            Mechanism::Tacos(ref m) if m.chunks.is_none()
-        ));
-        assert!(matches!(
-            parse_algo("tacos:4", &base).unwrap(),
-            Mechanism::Tacos(ref m) if m.chunks == Some(4)
-        ));
-        assert_eq!(parse_algo("ideal", &base).unwrap(), Mechanism::Ideal);
-        assert!(matches!(
-            parse_algo("themis:64", &base).unwrap(),
-            Mechanism::Baseline(BaselineKind::Themis { chunks: 64 })
-        ));
-        // Per-variant synth.* overrides layer on the base config.
-        match parse_algo("tacos:attempts=64,prefer_cheap_links=false", &base).unwrap() {
-            Mechanism::Tacos(m) => {
-                assert_eq!(m.config.attempts(), 64);
-                assert!(!m.config.prefer_cheap_links());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse_algo("tacos:0", &base).is_err());
-        assert!(parse_algo("magic", &base).is_err());
     }
 
     #[test]
@@ -3504,16 +3136,6 @@ tier_gbps = [25.0]
             let err = ScenarioSpec::from_toml_str(&text).unwrap_err().to_string();
             assert!(err.contains(needle), "expected '{needle}' in '{err}'");
         }
-    }
-
-    #[test]
-    fn switch2d_parses_with_ratio_suffix() {
-        assert_eq!(tier_bandwidths("switch2d:8x4"), [50.0]);
-        assert_eq!(tier_bandwidths("switch2d:8x4:0.5"), [25.0, 50.0]);
-        let link = LinkAxis::default_paper().to_spec();
-        assert_eq!(parse_topology("switch2d:8x4", link).unwrap().num_npus(), 32);
-        assert!(parse_topology("switch2d:8", link).is_err());
-        assert!(parse_topology("switch2d:8x4:1x2", link).is_err());
     }
 
     #[test]

@@ -36,7 +36,7 @@
 use std::io::BufRead;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use tacos_core::{WarmCache, WarmLimits};
@@ -401,6 +401,11 @@ fn oversized_line_phase(checks: &mut Checks) -> Result<(), String> {
     .map_err(|e| format!("spawn: {e}"))?;
     let mut client = connect(&daemon.addr().to_string())?;
 
+    // RSS is process-wide: in-process suites on parallel test threads
+    // must not allocate (or free) their own 10 MiB line inside another
+    // suite's before/after window. Held until `oversized` is dropped.
+    static RSS_WINDOW: Mutex<()> = Mutex::new(());
+    let window = RSS_WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
     let oversized = "x".repeat(10 << 20);
     let rss_before = rss_bytes();
     let response = call(&mut client, &oversized)?;
@@ -425,6 +430,7 @@ fn oversized_line_phase(checks: &mut Checks) -> Result<(), String> {
         )?;
     }
     drop(oversized);
+    drop(window);
     daemon.stop().map_err(|e| format!("stop: {e}"))?;
     Ok(())
 }

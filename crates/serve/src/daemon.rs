@@ -43,16 +43,14 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use tacos_baselines::{BaselineAlgorithm, IdealBound};
-use tacos_collective::algorithm::CollectiveAlgorithm;
-use tacos_collective::{export::to_compact, Collective};
+use tacos_baselines::IdealBound;
+use tacos_collective::{export::to_compact, parse_pattern};
 use tacos_core::{
-    AlgorithmCache, FlightEntry, InFlightRegistry, SynthesisScratch, Synthesizer,
-    SynthesizerConfig, WarmCache, WarmEntry, WarmLimits,
+    FlightEntry, InFlightRegistry, SynthesisScratch, SynthesizerConfig, WarmCache, WarmEntry,
+    WarmLimits,
 };
-use tacos_scenario::{parse_pattern, parse_size, parse_topology, Mechanism};
-use tacos_sim::Simulator;
-use tacos_topology::{Time, Topology};
+use tacos_topology::{parse_size, parse_topology, ByteSize, Time, Topology};
+use tacos_workload::{bandwidth_gbps, Generation, Mechanism, Plan};
 
 use crate::faults::FaultPlan;
 use crate::protocol::{OkBody, Op, Request, Response, StatsBody};
@@ -152,8 +150,7 @@ struct Job {
     index: u64,
     key: String,
     topo: Topology,
-    collective: Collective,
-    mechanism: Mechanism,
+    generation: Generation,
 }
 
 #[derive(Debug, Default)]
@@ -857,62 +854,25 @@ fn synthesize(state: &Arc<ServerState>, req: &Request) -> Result<Response, Strin
     }
     let mechanism = Mechanism::parse(&req.mechanism, &config)?;
 
-    if mechanism == Mechanism::Ideal {
+    let plan = mechanism
+        .plan(pattern, topo.num_npus(), size, req.chunks)
+        .map_err(|e| e.cause())?;
+    let Plan::Generate(generation) = plan else {
         // The theoretical bound is a closed-form computation: answer
         // inline, no worker, no cache.
-        let ideal = IdealBound::new(&topo);
-        let time = ideal.collective_time(pattern, size);
-        return Ok(Response::Ok(
-            req.id,
-            ok_body(
-                req,
-                &topo,
-                size.as_u64(),
-                time,
-                0,
-                "ideal",
-                None,
-                false,
-                false,
-                0.0,
-            ),
-        ));
-    }
-
-    let chunks = match &mechanism {
-        Mechanism::Tacos(m) => m.chunks.unwrap_or(req.chunks),
-        _ => req.chunks,
+        let time = IdealBound::new(&topo).collective_time(pattern, size);
+        return Ok(Response::Ok(req.id, ok_body(&topo, size, time, "ideal")));
     };
-    let collective = Collective::with_chunking(pattern, topo.num_npus(), chunks, size)
-        .map_err(|e| e.to_string())?;
-    let key = match &mechanism {
-        Mechanism::Tacos(m) => {
-            let synth = Synthesizer::new(m.config.clone());
-            AlgorithmCache::key_with_tag("tacos", &synth, &topo, &collective)
-        }
-        Mechanism::Baseline(kind) => AlgorithmCache::key_for_generator(
-            &req.mechanism,
-            &topo,
-            &collective,
-            kind.seed().unwrap_or(0),
-        ),
-        Mechanism::Ideal => unreachable!("handled above"), // lint: allow(panic, "Ideal returned early above; a new variant is a compile error first")
-    };
+    let key = generation.cache_key(&req.mechanism, &topo);
 
     if let Some(entry) = state.warm.get(&key) {
         state.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
         return Ok(Response::Ok(
             req.id,
-            entry_body(
-                req,
-                &topo,
-                size.as_u64(),
-                &entry,
-                mechanism.name(),
-                true,
-                false,
-                0.0,
-            ),
+            OkBody {
+                cache_hit: true,
+                ..entry_body(req, &topo, size, &entry, mechanism.name())
+            },
         ));
     }
 
@@ -923,8 +883,7 @@ fn synthesize(state: &Arc<ServerState>, req: &Request) -> Result<Response, Strin
                 index: state.job_seq.fetch_add(1, Ordering::Relaxed) + 1,
                 key: key.clone(),
                 topo: topo.clone(),
-                collective,
-                mechanism: mechanism.clone(),
+                generation,
             };
             enum Admission {
                 Accepted,
@@ -999,16 +958,11 @@ fn synthesize(state: &Arc<ServerState>, req: &Request) -> Result<Response, Strin
             }
             Ok(Response::Ok(
                 req.id,
-                entry_body(
-                    req,
-                    &topo,
-                    size.as_u64(),
-                    &entry,
-                    mechanism.name(),
-                    false,
+                OkBody {
                     deduplicated,
                     synthesis_ms,
-                ),
+                    ..entry_body(req, &topo, size, &entry, mechanism.name())
+                },
             ))
         }
         FlightOutcome::Failed(msg) => Err(msg),
@@ -1019,60 +973,35 @@ fn synthesize(state: &Arc<ServerState>, req: &Request) -> Result<Response, Strin
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The `ok` answer for a schedule held in the warm cache; callers set
+/// how it got there (`cache_hit` / `deduplicated` / `synthesis_ms`).
 fn entry_body(
     req: &Request,
     topo: &Topology,
-    size_bytes: u64,
+    size: ByteSize,
     entry: &WarmEntry,
     algorithm: &str,
-    cache_hit: bool,
-    deduplicated: bool,
-    synthesis_ms: f64,
 ) -> OkBody {
-    let compact = req.include_algorithm.then(|| to_compact(&entry.algo));
-    ok_body(
-        req,
-        topo,
-        size_bytes,
-        entry.time,
-        entry.algo.len() as u64,
-        algorithm,
-        compact,
-        cache_hit,
-        deduplicated,
-        synthesis_ms,
-    )
+    OkBody {
+        transfers: entry.algo.len() as u64,
+        algorithm_compact: req.include_algorithm.then(|| to_compact(&entry.algo)),
+        ..ok_body(topo, size, entry.time, algorithm)
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn ok_body(
-    _req: &Request,
-    topo: &Topology,
-    size_bytes: u64,
-    time: Time,
-    transfers: u64,
-    algorithm: &str,
-    algorithm_compact: Option<String>,
-    cache_hit: bool,
-    deduplicated: bool,
-    synthesis_ms: f64,
-) -> OkBody {
-    let bandwidth_gbps = if time.is_zero() {
-        f64::INFINITY
-    } else {
-        size_bytes as f64 / time.as_secs_f64() / 1e9
-    };
+/// An `ok` answer carrying only a completion time (all the ideal bound
+/// has): no schedule, freshly computed.
+fn ok_body(topo: &Topology, size: ByteSize, time: Time, algorithm: &str) -> OkBody {
     OkBody {
-        cache_hit,
-        deduplicated,
+        cache_hit: false,
+        deduplicated: false,
         collective_time_ps: time.as_ps(),
-        bandwidth_gbps,
-        synthesis_ms,
-        transfers,
+        bandwidth_gbps: bandwidth_gbps(size, time),
+        synthesis_ms: 0.0,
+        transfers: 0,
         num_npus: topo.num_npus() as u64,
         algorithm: algorithm.into(),
-        algorithm_compact,
+        algorithm_compact: None,
     }
 }
 
@@ -1111,8 +1040,7 @@ fn run_job(state: &Arc<ServerState>, job: Job, scratch: &mut SynthesisScratch) -
         index,
         key,
         topo,
-        collective,
-        mechanism,
+        generation,
     } = job;
     let (stall, injected_panic) = state.faults.job_fault(index);
     if let Some(stall) = stall {
@@ -1131,7 +1059,7 @@ fn run_job(state: &Arc<ServerState>, job: Job, scratch: &mut SynthesisScratch) -
         if injected_panic {
             panic!("injected fault: synthesis panic on job {index}"); // lint: allow(panic, "deliberate chaos fault, caught by the catch_unwind below")
         }
-        generate(&topo, &collective, &mechanism, scratch)
+        generation.generate(&topo, scratch)
     }));
     let synthesis_ms = started.elapsed().as_secs_f64() * 1e3;
     match generated {
@@ -1147,8 +1075,10 @@ fn run_job(state: &Arc<ServerState>, job: Job, scratch: &mut SynthesisScratch) -
             );
             false
         }
-        Ok(Err(msg)) => {
-            state.inflight.complete(&key, FlightOutcome::Failed(msg));
+        Ok(Err(e)) => {
+            state
+                .inflight
+                .complete(&key, FlightOutcome::Failed(e.cause()));
             false
         }
         Err(_) => {
@@ -1162,33 +1092,4 @@ fn run_job(state: &Arc<ServerState>, job: Job, scratch: &mut SynthesisScratch) -
             true
         }
     }
-}
-
-/// Generates the algorithm and its completion time — synthesized
-/// schedules carry a planned time; baseline schedules are simulated,
-/// matching the scenario runner's semantics.
-fn generate(
-    topo: &Topology,
-    collective: &Collective,
-    mechanism: &Mechanism,
-    scratch: &mut SynthesisScratch,
-) -> Result<(CollectiveAlgorithm, Time), String> {
-    let algo = match mechanism {
-        Mechanism::Tacos(m) => Synthesizer::new(m.config.clone())
-            .synthesize_with(topo, collective, scratch)
-            .map_err(|e| e.to_string())?
-            .into_algorithm(),
-        Mechanism::Baseline(kind) => BaselineAlgorithm::new(kind.clone())
-            .generate(topo, collective)
-            .map_err(|e| e.to_string())?,
-        Mechanism::Ideal => return Err("ideal mechanism is answered inline".into()),
-    };
-    let time = match algo.planned_time() {
-        Some(time) => time,
-        None => Simulator::new()
-            .simulate(topo, &algo)
-            .map_err(|e| e.to_string())?
-            .collective_time(),
-    };
-    Ok((algo, time))
 }

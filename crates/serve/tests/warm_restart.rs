@@ -5,9 +5,13 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use tacos_core::{WarmCache, WarmLimits};
+use tacos_collective::CollectivePattern;
+use tacos_core::{CacheOutcome, SynthesisScratch, SynthesizerConfig, WarmCache, WarmLimits};
 use tacos_report::Json;
+use tacos_scenario::{LinkAxis, ScenarioSpec};
 use tacos_serve::{Client, Daemon, DaemonConfig, SNAPSHOT_FILE};
+use tacos_topology::{parse_size, parse_topology};
+use tacos_workload::{Evaluator, Mechanism, TrainingEvaluator};
 
 const REQUEST: &str = r#"{"topology":"mesh:2x2","collective":"all-gather","size":"1MB"}"#;
 
@@ -198,6 +202,124 @@ fn corrupted_and_stale_snapshots_cold_start_instead_of_panicking() {
             "{tag}: the rewritten snapshot must load"
         );
         reloaded.stop().expect("clean stop");
+        let _ = std::fs::remove_dir_all(&cache_dir);
+    }
+}
+
+/// Cross-front-end parity: for every mechanism family, on a homogeneous
+/// and a heterogeneous fabric, the library pipeline, a scenario run
+/// (cold, then warm from its cache directory), a served request (miss,
+/// then hit) and the training evaluator report the same evaluation.
+#[test]
+fn every_front_end_reports_the_same_evaluation() {
+    const ALGOS: [&str; 5] = ["tacos", "tacos:4", "ring", "direct", "ideal"];
+    const SIZE: &str = "16MB";
+    const CHUNKS: usize = 2;
+    const SEED: u64 = 7;
+    for (tag, topology) in [("parity-mesh", "mesh:4x4"), ("parity-rfs", "rfs:2x2x4")] {
+        let cache_dir = temp_dir(tag);
+        let topo = parse_topology(topology, LinkAxis::default_paper().to_spec()).unwrap();
+        let size = parse_size(SIZE).unwrap();
+        let base = SynthesizerConfig::default().with_seed(SEED);
+
+        // Scenario front end: a cold run fills the cache directory, the
+        // warm re-run is served from it without a single miss.
+        let mut spec = ScenarioSpec::from_toml_str(&format!(
+            r#"
+[scenario]
+name = "{tag}"
+[sweep]
+topology = ["{topology}"]
+collective = ["all-reduce"]
+size = ["{SIZE}"]
+chunks = [{CHUNKS}]
+algo = {ALGOS:?}
+seed = [{SEED}]
+[run]
+cache = "{}"
+"#,
+            cache_dir.join("scenario").display()
+        ))
+        .unwrap();
+        spec.run.quiet = true;
+        let cold = tacos_scenario::run(&spec).unwrap();
+        let warm = tacos_scenario::run(&spec).unwrap();
+        assert_eq!((cold.failed, cold.cache_hits), (0, 0), "{topology}");
+        assert_eq!((warm.failed, warm.cache_hits), (0, 4), "{topology}");
+
+        let daemon = daemon_at(&cache_dir.join("serve"));
+        for (i, algo) in ALGOS.into_iter().enumerate() {
+            let at = format!("{topology} {algo}");
+            // Library front end: the reference.
+            let mechanism = Mechanism::parse(algo, &base).unwrap();
+            let evaluate = |chunks| {
+                Evaluator::new(&topo, &mechanism)
+                    .evaluate(
+                        CollectivePattern::AllReduce,
+                        size,
+                        chunks,
+                        &mut SynthesisScratch::new(),
+                    )
+                    .unwrap()
+            };
+            let library = evaluate(CHUNKS);
+
+            for (summary, outcome) in [(&cold, CacheOutcome::Miss), (&warm, CacheOutcome::Hit)] {
+                let record = &summary.records[i];
+                assert_eq!(record.point.algo, algo);
+                let m = record.result.as_ref().unwrap();
+                assert_eq!(m.collective_time, library.time, "{at}");
+                assert_eq!(m.chunks, library.chunks, "{at}");
+                assert_eq!(m.transfers, library.transfers, "{at}");
+                // The bound is computed, never cached.
+                assert_eq!(m.cache, (algo != "ideal").then_some(outcome), "{at}");
+            }
+
+            // Serving front end: a miss, then a hit, same answer.
+            let request = format!(
+                r#"{{"topology":"{topology}","collective":"all-reduce","size":"{SIZE}","chunks":{CHUNKS},"mechanism":"{algo}","seed":{SEED}}}"#
+            );
+            for hit in [false, true] {
+                let response = call(&daemon, &request);
+                assert_eq!(
+                    response.get("status").and_then(Json::as_str),
+                    Some("ok"),
+                    "{at}: {response}"
+                );
+                assert_eq!(
+                    response.get("cache_hit").and_then(Json::as_bool),
+                    Some(hit && algo != "ideal"),
+                    "{at}"
+                );
+                assert_eq!(
+                    response.get("collective_time_ps").and_then(Json::as_u64),
+                    Some(library.time.as_ps()),
+                    "{at}"
+                );
+                assert_eq!(
+                    response.get("transfers").and_then(Json::as_u64),
+                    Some(library.transfers),
+                    "{at}"
+                );
+            }
+
+            // Training front end: the same pipeline under the training
+            // chunk rule — synthesized collectives take the chunking
+            // factor, baselines (and the bound) run unchunked.
+            let training = TrainingEvaluator::new(&topo).with_chunks(CHUNKS);
+            let expected = match mechanism {
+                Mechanism::Tacos(_) => library.time,
+                Mechanism::Baseline(_) | Mechanism::Ideal => evaluate(1).time,
+            };
+            assert_eq!(
+                training.all_reduce_time(size, &mechanism).unwrap(),
+                expected,
+                "{at}"
+            );
+        }
+        let stats = daemon.stats();
+        assert_eq!((stats.synthesized, stats.cache_hits), (4, 4), "{topology}");
+        daemon.stop().expect("clean stop");
         let _ = std::fs::remove_dir_all(&cache_dir);
     }
 }

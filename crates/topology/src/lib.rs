@@ -40,6 +40,7 @@ mod error;
 mod hierarchical;
 mod ids;
 mod link;
+mod parse;
 pub mod routing;
 mod topology;
 mod units;
@@ -49,6 +50,7 @@ pub use error::TopologyError;
 pub use hierarchical::{multi_dim, Dim, DimKind};
 pub use ids::{LinkId, NpuId};
 pub use link::{Link, LinkSpec};
+pub use parse::parse_topology;
 pub use routing::RoutingTable;
 pub use topology::{Topology, TopologyBuilder};
-pub use units::{Bandwidth, ByteSize, Time};
+pub use units::{parse_size, Bandwidth, ByteSize, Time};

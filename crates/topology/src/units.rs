@@ -382,9 +382,70 @@ impl fmt::Display for ByteSize {
     }
 }
 
+/// Parses a human-readable byte size (`64MB`, `0.5GB`, `1.5GiB`,
+/// `64 MB`, `512`).
+///
+/// The numeric part may be fractional and whitespace is allowed around
+/// the number/unit split; the resulting byte count is rounded to the
+/// nearest integer byte.
+///
+/// # Errors
+/// Returns a message for unparseable or negative numbers and unknown
+/// units.
+pub fn parse_size(s: &str) -> Result<ByteSize, String> {
+    let s = s.trim();
+    let split = s.find(|c: char| c.is_ascii_alphabetic()).unwrap_or(s.len());
+    let (num, unit) = s.split_at(split);
+    let value: f64 = num
+        .trim()
+        .parse()
+        .map_err(|e| format!("bad size '{s}': {e}"))?;
+    if !value.is_finite() || value < 0.0 {
+        return Err(format!(
+            "bad size '{s}': must be a finite non-negative value"
+        ));
+    }
+    let multiplier: f64 = match unit.trim().to_ascii_uppercase().as_str() {
+        "B" | "" => 1.0,
+        "KB" => 1e3,
+        "MB" => 1e6,
+        "GB" => 1e9,
+        "KIB" => 1024.0,
+        "MIB" => 1024.0 * 1024.0,
+        "GIB" => 1024.0 * 1024.0 * 1024.0,
+        other => return Err(format!("unknown size unit '{other}'")),
+    };
+    Ok(ByteSize::bytes((value * multiplier).round() as u64))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_size_accepts_fractional_values_and_inner_whitespace() {
+        assert_eq!(parse_size("1GB").unwrap(), ByteSize::gb(1));
+        assert_eq!(parse_size("1KB").unwrap(), ByteSize::kb(1));
+        assert_eq!(parse_size("2GiB").unwrap(), ByteSize::gib(2));
+        assert_eq!(parse_size("0.5GB").unwrap(), ByteSize::mb(500));
+        assert_eq!(parse_size("1.5GiB").unwrap(), ByteSize::mib(1536));
+        assert_eq!(parse_size("64 MB").unwrap(), ByteSize::mb(64));
+        assert_eq!(parse_size("  2.5 KB ").unwrap(), ByteSize::bytes(2_500));
+        assert_eq!(parse_size("0.25MB").unwrap(), ByteSize::kb(250));
+        assert_eq!(parse_size("512").unwrap(), ByteSize::bytes(512));
+        for bad in [
+            "",
+            "abc",
+            "MB",
+            "-1MB",
+            "1..5MB",
+            "1e999GB",
+            "12parsecs",
+            "NaNGB",
+        ] {
+            assert!(parse_size(bad).is_err(), "'{bad}' should not parse");
+        }
+    }
 
     #[test]
     fn time_constructors_are_exact() {

@@ -22,6 +22,16 @@ pub enum WorkloadError {
     Sim(SimError),
 }
 
+impl WorkloadError {
+    /// The underlying failure's message without this layer's prefix —
+    /// what the single-collective front ends (scenario bandwidth rows,
+    /// the one-shot CLI, `tacos serve`) report.
+    pub fn cause(&self) -> String {
+        self.source()
+            .map_or_else(|| self.to_string(), ToString::to_string)
+    }
+}
+
 impl fmt::Display for WorkloadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -76,6 +86,7 @@ mod tests {
     fn conversions_and_display() {
         let e: WorkloadError = CollectiveError::ZeroChunks.into();
         assert!(e.to_string().contains("collective error"));
+        assert_eq!(e.cause(), CollectiveError::ZeroChunks.to_string());
         assert!(std::error::Error::source(&e).is_some());
         let e: WorkloadError = SimError::Unroutable { src: 0, dst: 1 }.into();
         assert!(e.to_string().contains("simulation error"));

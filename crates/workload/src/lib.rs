@@ -21,11 +21,13 @@
 #![warn(missing_docs)]
 
 mod error;
+mod evaluate;
 mod mechanism;
 mod models;
 mod training;
 
 pub use error::WorkloadError;
+pub use evaluate::{bandwidth_gbps, Evaluated, Evaluator, Generation, Plan};
 pub use mechanism::{parse_baseline, Mechanism, SynthMechanism};
 pub use models::Workload;
 pub use training::{Parallelism, TrainingEvaluator, TrainingReport};

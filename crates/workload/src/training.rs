@@ -14,13 +14,12 @@
 
 use std::fmt;
 
-use tacos_baselines::{BaselineAlgorithm, IdealBound};
-use tacos_collective::{Collective, CollectivePattern};
-use tacos_core::Synthesizer;
-use tacos_sim::Simulator;
+use tacos_collective::CollectivePattern;
+use tacos_core::SynthesisScratch;
 use tacos_topology::{ByteSize, Time, Topology};
 
 use crate::error::WorkloadError;
+use crate::evaluate::Evaluator;
 use crate::mechanism::Mechanism;
 use crate::models::Workload;
 
@@ -185,6 +184,17 @@ impl<'a> TrainingEvaluator<'a> {
         self
     }
 
+    /// The training chunk rule: the chunking factor applies to
+    /// synthesized collectives only (where a `tacos:N` variant may still
+    /// override it) — baselines run unchunked and the bound has no
+    /// collective at all, so both evaluate with, and report, `1`.
+    pub fn chunks_for(&self, mechanism: &Mechanism) -> usize {
+        match mechanism {
+            Mechanism::Tacos(_) => self.chunks,
+            Mechanism::Baseline(_) | Mechanism::Ideal => 1,
+        }
+    }
+
     /// Time for one All-Reduce of `size` under `mechanism`.
     ///
     /// # Errors
@@ -194,26 +204,14 @@ impl<'a> TrainingEvaluator<'a> {
         size: ByteSize,
         mechanism: &Mechanism,
     ) -> Result<Time, WorkloadError> {
-        let n = self.topo.num_npus();
-        match mechanism {
-            Mechanism::Ideal => {
-                let ideal = IdealBound::new(self.topo);
-                Ok(ideal.collective_time(CollectivePattern::AllReduce, size))
-            }
-            Mechanism::Baseline(kind) => {
-                let coll = Collective::all_reduce(n, size)?;
-                let algo = BaselineAlgorithm::new(kind.clone()).generate(self.topo, &coll)?;
-                let report = Simulator::new().simulate(self.topo, &algo)?;
-                Ok(report.collective_time())
-            }
-            Mechanism::Tacos(m) => {
-                let chunks = m.chunks.unwrap_or(self.chunks);
-                let coll =
-                    Collective::with_chunking(CollectivePattern::AllReduce, n, chunks, size)?;
-                let result = Synthesizer::new(m.config.clone()).synthesize(self.topo, &coll)?;
-                Ok(result.collective_time())
-            }
-        }
+        Evaluator::new(self.topo, mechanism)
+            .evaluate(
+                CollectivePattern::AllReduce,
+                size,
+                self.chunks_for(mechanism),
+                &mut SynthesisScratch::new(),
+            )
+            .map(|evaluated| evaluated.time)
     }
 
     /// Evaluates one training iteration of `workload`.

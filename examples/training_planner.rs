@@ -12,9 +12,9 @@
 
 use tacos::prelude::*;
 use tacos_baselines::BaselineKind;
-use tacos_core::AlgorithmCache;
+use tacos_core::{CacheOutcome, SynthesisScratch};
 use tacos_report::Table;
-use tacos_workload::{Mechanism, SynthMechanism, TrainingEvaluator, Workload};
+use tacos_workload::{Evaluator, SynthMechanism};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let topo =
@@ -28,14 +28,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let eval = TrainingEvaluator::new(&topo).with_chunks(1);
+    let tacos = Mechanism::Tacos(SynthMechanism {
+        config: SynthesizerConfig::default().with_attempts(8),
+        chunks: None,
+    });
     let mechanisms = vec![
         Mechanism::Baseline(BaselineKind::Ring),
         Mechanism::Baseline(BaselineKind::Direct),
         Mechanism::Baseline(BaselineKind::Themis { chunks: 4 }),
-        Mechanism::Tacos(SynthMechanism {
-            config: SynthesizerConfig::default().with_attempts(8),
-            chunks: None,
-        }),
+        tacos.clone(),
         Mechanism::Ideal,
     ];
     let mut table = Table::new(vec!["mechanism", "exposed comm", "iteration", "vs best"]);
@@ -61,21 +62,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     print!("{table}");
 
-    // Persist the winning TACOS schedule for the job's CCL.
-    let coll = Collective::all_reduce(topo.num_npus(), workload.weight_grad())?;
-    let synth = Synthesizer::new(SynthesizerConfig::default().with_attempts(8));
+    // Persist the winning TACOS schedule for the job's CCL: the same
+    // evaluation pipeline, now routed through an on-disk cache.
     let cache_dir = std::env::temp_dir().join("tacos-training-planner");
     let cache = AlgorithmCache::new(&cache_dir)?;
-    let key = AlgorithmCache::key(&synth, &topo, &coll);
-    let algo = cache.synthesize_cached(&synth, &topo, &coll)?;
+    let evaluator = Evaluator::new(&topo, &tacos).with_cache(Some(&cache), "tacos");
+    let (pattern, size) = (CollectivePattern::AllReduce, workload.weight_grad());
+    let first = evaluator.evaluate(pattern, size, 1, &mut SynthesisScratch::new())?;
     println!(
         "\ncached winning schedule ({} transfers) under {}",
-        algo.len(),
-        cache_dir.join(format!("{key}.tacos")).display()
+        first.transfers,
+        cache_dir.display()
     );
-    // A second lookup hits the cache (identical schedule, no synthesis).
-    let again = cache.synthesize_cached(&synth, &topo, &coll)?;
-    assert_eq!(algo, again);
+    // A second evaluation hits the cache (identical schedule, no synthesis).
+    let again = evaluator.evaluate(pattern, size, 1, &mut SynthesisScratch::new())?;
+    assert_eq!(again.cache, Some(CacheOutcome::Hit));
+    assert_eq!(first.algorithm, again.algorithm);
     println!("cache hit verified; the CCL can now load this at job start.");
     Ok(())
 }

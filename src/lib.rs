@@ -24,7 +24,9 @@
 //!   MultiTree, C-Cube, a TACCL-like bounded-optimal search, and the
 //!   theoretical ideal bound.
 //! * [`workload`] — the shared evaluation vocabulary
-//!   ([`workload::Mechanism`]: baseline / TACOS config / ideal bound) and
+//!   ([`workload::Mechanism`]: baseline / TACOS config / ideal bound), the
+//!   one evaluation pipeline every front end composes
+//!   ([`workload::Evaluator`]: plan → cache lookup → generate → time), and
 //!   end-to-end training models (GNMT, ResNet-50, Turing-NLG, MSFT-1T)
 //!   with exposed-communication accounting.
 //! * [`report`] — ASCII tables, heat maps, CSV/JSON writers and the
