@@ -58,7 +58,7 @@
 //! so a restart under a smaller budget trims rather than overshoots.
 
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -239,27 +239,94 @@ impl std::fmt::Display for WarmCacheError {
 
 impl std::error::Error for WarmCacheError {}
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), bitwise: the
-/// snapshot is parsed once per process start, so a lookup table would
-/// buy nothing measurable.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+/// The reflected IEEE 802.3 CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table, `CRC_TABLES[k][b]` advances byte `b` through `k` further zero
+/// bytes, so eight input bytes fold into the register with eight
+/// independent lookups instead of 64 dependent shift/xor steps.
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
+
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][byte] = crc; // lint: allow(panic, "const-evaluated: an out-of-range index is a compile error")
+        byte += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let prev = tables[k - 1][byte]; // lint: allow(panic, "const-evaluated: an out-of-range index is a compile error")
+            tables[k][byte] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize]; // lint: allow(panic, "const-evaluated: an out-of-range index is a compile error")
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// One table lookup on the low byte of `value`.
+#[inline(always)]
+fn crc_lut(table: &[u32; 256], value: u32) -> u32 {
+    table[(value & 0xFF) as usize] // lint: allow(panic, "the index is masked to 0..=255 and the table has 256 entries")
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of the
+/// concatenation of `parts`, folded part by part so callers never have to
+/// copy their pieces into one buffer. Table-driven (slice-by-8): this runs
+/// over every entry's compact text on every `checkpoint` op, every
+/// periodic checkpoint and every snapshot reload — tens of megabytes a
+/// time under `tacos serve` — where a bitwise loop was the single largest
+/// cost of a checkpoint.
+fn crc32(parts: &[&[u8]]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+    for part in parts {
+        let mut words = part.chunks_exact(8);
+        for word in &mut words {
+            let &[b0, b1, b2, b3, b4, b5, b6, b7] = word else {
+                continue; // chunks_exact(8) yields only 8-byte slices
+            };
+            let lo = u32::from_le_bytes([b0, b1, b2, b3]) ^ crc;
+            let hi = u32::from_le_bytes([b4, b5, b6, b7]);
+            crc = crc_lut(t7, lo)
+                ^ crc_lut(t6, lo >> 8)
+                ^ crc_lut(t5, lo >> 16)
+                ^ crc_lut(t4, lo >> 24)
+                ^ crc_lut(t3, hi)
+                ^ crc_lut(t2, hi >> 8)
+                ^ crc_lut(t1, hi >> 16)
+                ^ crc_lut(t0, hi >> 24);
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ crc_lut(t0, crc ^ u32::from(b));
         }
     }
     !crc
 }
 
-/// The per-entry checksum input: the header fields a bit flip could
-/// silently alter plus the compact schedule text. The byte-length field
-/// is implicitly covered — a wrong length mis-splits the record and the
-/// checksum cannot match.
+/// The per-entry checksum: CRC-32 of `"<key> <time_ps> <compact>"` — the
+/// header fields a bit flip could silently alter plus the compact
+/// schedule text. The byte-length field is implicitly covered — a wrong
+/// length mis-splits the record and the checksum cannot match.
 fn entry_crc(key: &str, time_ps: u64, compact: &str) -> u32 {
-    crc32(format!("{key} {time_ps} {compact}").as_bytes())
+    let time = time_ps.to_string();
+    crc32(&[
+        key.as_bytes(),
+        b" ",
+        time.as_bytes(),
+        b" ",
+        compact.as_bytes(),
+    ])
 }
 
 /// FNV-1a 64 over the key bytes — the shard selector. Stable across
@@ -484,9 +551,13 @@ impl WarmCache {
         resident
     }
 
-    /// Serializes the resident set into the snapshot text. Entries
-    /// evicted before this call are absent — the snapshot is exactly
-    /// what is resident, never a log of everything ever inserted.
+    /// Streams the resident set as snapshot text into `out` — the one
+    /// serializer behind [`WarmCache::save_to`] and
+    /// [`WarmCache::save_interrupted_to`]. Only one entry's compact text
+    /// is alive at a time, so a checkpoint's memory cost is one schedule,
+    /// not the whole snapshot. Entries evicted before this call are
+    /// absent — the snapshot is exactly what is resident, never a log of
+    /// everything ever inserted. Returns the number of entries written.
     ///
     /// Format, all text:
     ///
@@ -499,29 +570,26 @@ impl WarmCache {
     /// ...
     /// end <count>
     /// ```
-    fn serialize(&self) -> (String, usize) {
+    fn write_snapshot(&self, out: &mut impl Write) -> io::Result<usize> {
         let resident = self.collect_sorted();
-        let mut out = String::new();
-        out.push_str(SNAPSHOT_MAGIC);
-        out.push('\n');
-        out.push_str(&format!("matcher {MATCHER_VERSION}\n"));
-        out.push_str(&format!("entries {}\n", resident.len()));
+        writeln!(out, "{SNAPSHOT_MAGIC}")?;
+        writeln!(out, "matcher {MATCHER_VERSION}")?;
+        writeln!(out, "entries {}", resident.len())?;
         for (key, entry) in &resident {
             let compact = export::to_compact(&entry.algo);
             let time_ps = entry.time.as_ps();
             let crc = entry_crc(key, time_ps, &compact);
-            out.push_str(&format!("{key} {time_ps} {} {crc:08x}\n", compact.len()));
-            out.push_str(&compact);
+            writeln!(out, "{key} {time_ps} {} {crc:08x}", compact.len())?;
+            out.write_all(compact.as_bytes())?;
         }
-        out.push_str(&format!("end {}\n", resident.len()));
-        (out, resident.len())
+        writeln!(out, "end {}", resident.len())?;
+        Ok(resident.len())
     }
 
-    /// Writes `bytes` of the serialized snapshot to a fresh temp file
-    /// (fsynced) and, when `rename` is set, moves it into place and
-    /// fsyncs the directory. Split out so fault injection can produce a
-    /// torn, never-renamed temp — exactly what a crash mid-write leaves.
-    fn write_snapshot(path: &Path, text: &str, keep: usize, rename: bool) -> io::Result<()> {
+    /// Creates the uniquely named temp file a snapshot is written to
+    /// before it is renamed over `path` (and `path`'s directory, if it is
+    /// missing).
+    fn create_temp(path: &Path) -> io::Result<(PathBuf, std::fs::File)> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
@@ -532,33 +600,8 @@ impl WarmCache {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let mut file = std::fs::File::create(&tmp)?;
-        let written = file
-            .write_all(&text.as_bytes()[..keep.min(text.len())]) // lint: allow(panic, "range is clamped to text.len() on this line")
-            .and_then(|()| file.sync_all());
-        drop(file);
-        if written.is_err() || !rename {
-            if rename {
-                let _ = std::fs::remove_file(&tmp);
-            }
-            return written;
-        }
-        let renamed = std::fs::rename(&tmp, path);
-        if renamed.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return renamed;
-        }
-        // Durability of the rename itself: fsync the directory. Best
-        // effort — some filesystems refuse to sync a read-only dir
-        // handle, and the temp-file fsync already ordered the data.
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Ok(dir) = std::fs::File::open(parent) {
-                    let _ = dir.sync_all();
-                }
-            }
-        }
-        Ok(())
+        let file = std::fs::File::create(&tmp)?;
+        Ok((tmp, file))
     }
 
     /// Writes the resident set to one snapshot file — atomically (unique
@@ -570,9 +613,33 @@ impl WarmCache {
     /// # Errors
     /// Propagates filesystem errors.
     pub fn save_to(&self, path: impl AsRef<Path>) -> io::Result<usize> {
-        let (text, count) = self.serialize();
-        Self::write_snapshot(path.as_ref(), &text, usize::MAX, true)?;
-        Ok(count)
+        let path = path.as_ref();
+        let (tmp, file) = Self::create_temp(path)?;
+        let mut out = BufWriter::new(file);
+        let written = self
+            .write_snapshot(&mut out)
+            .and_then(|count| {
+                out.flush()?;
+                out.get_ref().sync_all()?;
+                Ok(count)
+            })
+            .and_then(|count| std::fs::rename(&tmp, path).map(|()| count));
+        drop(out);
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+            return written;
+        }
+        // Durability of the rename itself: fsync the directory. Best
+        // effort — some filesystems refuse to sync a read-only dir
+        // handle, and the temp-file fsync already ordered the data.
+        if let Some(parent) = path.parent() {
+            if !parent.as_os_str().is_empty() {
+                if let Ok(dir) = std::fs::File::open(parent) {
+                    let _ = dir.sync_all();
+                }
+            }
+        }
+        written
     }
 
     /// Fault-injection hook: simulates a crash mid-checkpoint by writing
@@ -581,8 +648,12 @@ impl WarmCache {
     /// at `path` is untouched; the caller should treat the checkpoint as
     /// failed. Used by `tacos chaos` to prove checkpoint atomicity.
     pub fn save_interrupted_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let (text, _) = self.serialize();
-        Self::write_snapshot(path.as_ref(), &text, text.len() / 2, false)
+        let mut text = Vec::new();
+        self.write_snapshot(&mut text)?;
+        text.truncate(text.len() / 2);
+        let (_, mut file) = Self::create_temp(path.as_ref())?;
+        file.write_all(&text)?;
+        file.sync_all()
     }
 
     /// [`WarmCache::load_from_with_limits`] with no caps — the loaded
@@ -755,6 +826,7 @@ impl WarmCache {
 mod tests {
     use super::*;
     use crate::{Synthesizer, SynthesizerConfig};
+    use proptest::prelude::*;
     use tacos_collective::Collective;
     use tacos_topology::{Bandwidth, ByteSize, LinkSpec, Time, Topology};
 
@@ -779,11 +851,123 @@ mod tests {
         std::env::temp_dir().join(format!("tacos-warm-{tag}-{}.snap", std::process::id()))
     }
 
+    /// The bitwise CRC-32 the table-driven [`crc32`] replaced, kept as
+    /// the oracle it is checked against.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    /// The serializer `write_snapshot` replaced — the whole snapshot as
+    /// one `String`, checksummed over a `format!` copy of each record by
+    /// the bitwise CRC — kept as the byte-for-byte reference.
+    fn reference_snapshot(cache: &WarmCache) -> String {
+        let resident = cache.collect_sorted();
+        let mut out = format!(
+            "{SNAPSHOT_MAGIC}\nmatcher {MATCHER_VERSION}\nentries {}\n",
+            resident.len()
+        );
+        for (key, entry) in &resident {
+            let compact = export::to_compact(&entry.algo);
+            let time_ps = entry.time.as_ps();
+            let crc = crc32_bitwise(format!("{key} {time_ps} {compact}").as_bytes());
+            out.push_str(&format!("{key} {time_ps} {} {crc:08x}\n", compact.len()));
+            out.push_str(&compact);
+        }
+        out.push_str(&format!("end {}\n", resident.len()));
+        out
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The IEEE 802.3 check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF43926);
-        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(&[b"123456789"]), 0xCBF43926);
+        assert_eq!(crc32(&[b""]), 0);
+        assert_eq!(crc32(&[]), 0);
+        assert_eq!(
+            crc32(&[b"The quick brown fox jumps over the lazy dog"]),
+            0x414FA339
+        );
+        // Folding parts equals checksumming their concatenation, wherever
+        // the seams fall relative to the 8-byte stride.
+        assert_eq!(crc32(&[b"1234", b"", b"56789"]), 0xCBF43926);
+        assert_eq!(crc32(&[b"12345678", b"9"]), 0xCBF43926);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Every length 0..=64 at every start offset 0..8 (so every
+        /// head/tail split of the 8-byte stride at every alignment), whole
+        /// and cut into two parts, against the bitwise oracle.
+        #[test]
+        fn table_crc_equals_the_bitwise_oracle(
+            buf in prop::collection::vec(any::<u8>(), 72..73),
+            seam in 0usize..65,
+        ) {
+            for offset in 0..8 {
+                for len in 0..=64 {
+                    let bytes = &buf[offset..offset + len];
+                    let expect = crc32_bitwise(bytes);
+                    prop_assert_eq!(crc32(&[bytes]), expect, "offset {} len {}", offset, len);
+                    let (head, tail) = bytes.split_at(seam.min(len));
+                    prop_assert_eq!(crc32(&[head, tail]), expect, "offset {} len {}", offset, len);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_streamed_snapshot_is_byte_identical_to_the_reference_serializer() {
+        let cache = WarmCache::new();
+        for (i, key) in ["tacos-ag-0001", "ring-ag-0002", "k", "zz-last"]
+            .into_iter()
+            .enumerate()
+        {
+            cache.insert(key.into(), entry(1000 * i as u64 + 7));
+        }
+        let expect = reference_snapshot(&cache);
+        let mut streamed = Vec::new();
+        assert_eq!(cache.write_snapshot(&mut streamed).unwrap(), 4);
+        assert_eq!(String::from_utf8(streamed).unwrap(), expect);
+        // The file on disk is the same bytes, and the interrupted save is
+        // exactly their first half: one serializer behind both.
+        let dir = std::env::temp_dir().join(format!("tacos-warm-ident-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("warm.tacos-cache");
+        cache.save_to(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expect);
+        std::fs::remove_file(&path).unwrap();
+        cache.save_interrupted_to(&path).unwrap();
+        let debris: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(
+            debris.len(),
+            1,
+            "one torn temp, nothing renamed: {debris:?}"
+        );
+        assert_eq!(
+            std::fs::read(&debris[0]).unwrap(),
+            &expect.as_bytes()[..expect.len() / 2]
+        );
+        // An empty cache is still a complete snapshot.
+        let empty = WarmCache::new();
+        let mut streamed = Vec::new();
+        assert_eq!(empty.write_snapshot(&mut streamed).unwrap(), 0);
+        assert_eq!(
+            String::from_utf8(streamed).unwrap(),
+            reference_snapshot(&empty)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

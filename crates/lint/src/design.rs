@@ -14,11 +14,14 @@
 //!   warm cache's `MATCHER_VERSION` fingerprint; each must reference it
 //!   (in code or docs) so nobody changes matching semantics without
 //!   confronting the version bump.
-
 //! * **One evaluation pipeline** — a mechanism becomes a schedule and a
 //!   time only in `tacos-workload`'s `evaluate` module; a front-end crate
 //!   (`cli`, `scenario`, `serve`) constructing a baseline generator or a
 //!   simulator is a private copy of that pipeline regrowing.
+//! * **No sleeping polls** — between a client's `connect` and its answer
+//!   the daemon never sleeps: every wait in `crates/serve/src/daemon.rs`
+//!   is a blocking wait with a named waker. `thread::sleep`, `try_recv`
+//!   and `set_nonblocking` are how a poll loop comes back.
 
 use crate::lexer::TokKind;
 use crate::source::SourceFile;
@@ -210,6 +213,40 @@ pub fn analyze_pipeline_copies(f: &SourceFile) -> Vec<Finding> {
     out
 }
 
+/// Flags `sleep(`, `try_recv(` and `set_nonblocking(` calls in the
+/// daemon's production source — the ingredients of a poll loop, each of
+/// which once put a fixed delay between a client and its answer.
+/// Deliberate delays (fault injection) carry a
+/// `// lint: allow(design, "fault injection ..")`.
+pub fn analyze_sleep_polls(f: &SourceFile) -> Vec<Finding> {
+    let mut out = Vec::new();
+    if f.rel != "crates/serve/src/daemon.rs" {
+        return out;
+    }
+    for w in f.toks.windows(2) {
+        let call = w[0].text.as_str();
+        if w[0].kind == TokKind::Ident
+            && matches!(call, "sleep" | "try_recv" | "set_nonblocking")
+            && w[1].text == "("
+            && !f.in_test_code(w[0].line)
+        {
+            out.push(Finding {
+                rule: Rule::Design,
+                file: f.rel.clone(),
+                line: w[0].line,
+                token: call.to_string(),
+                message: format!(
+                    "`{call}(` in the daemon — nothing sleeps between a client's connect and \
+                     its answer: block on the queue, the socket or the stop condvar \
+                     (ServerState::park) instead of polling, or justify a deliberate delay \
+                     with `// lint: allow(design, \"fault injection ..\")`"
+                ),
+            });
+        }
+    }
+    out
+}
+
 /// Requires every matcher-kernel file to reference `MATCHER_VERSION`.
 pub fn analyze_matcher_version(files: &[SourceFile], kernel: &[String]) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -301,6 +338,32 @@ mod tests {
         // construct both.
         let owner = SourceFile::parse("crates/workload/src/evaluate.rs".into(), src.into());
         assert!(analyze_pipeline_copies(&owner).is_empty());
+    }
+
+    #[test]
+    fn sleeping_polls_are_flagged_in_the_daemon_only() {
+        let src = "fn worker(rx: &Receiver<Job>) {\n  loop {\n    \
+                   if let Ok(j) = rx.try_recv() { run(j); }\n    \
+                   thread::sleep(POLL);\n  }\n}\n\
+                   fn bind(l: &TcpListener) { l.set_nonblocking(true); }\n\
+                   fn fine(rx: &Receiver<Job>, sleep: u32) { rx.recv(); rx.recv_timeout(sleep); }\n\
+                   #[cfg(test)]\nmod tests {\n  fn t() { thread::sleep(d); }\n}\n";
+        let daemon = SourceFile::parse("crates/serve/src/daemon.rs".into(), src.into());
+        let found: Vec<(u32, String)> = analyze_sleep_polls(&daemon)
+            .into_iter()
+            .map(|f| (f.line, f.token))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                (3, "try_recv".to_string()),
+                (4, "sleep".to_string()),
+                (7, "set_nonblocking".to_string())
+            ]
+        );
+        // Clients, the chaos harness and the bench may sleep and poll.
+        let client = SourceFile::parse("crates/serve/src/client.rs".into(), src.into());
+        assert!(analyze_sleep_polls(&client).is_empty());
     }
 
     #[test]

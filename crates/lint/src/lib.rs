@@ -12,8 +12,9 @@
 //! * [`panics`] — panic-path audit of the designated serving modules.
 //! * [`unsafety`] — every `unsafe` needs an adjacent `// SAFETY:`.
 //! * [`design`] — dependency policy, durable-write pairing, the
-//!   `MATCHER_VERSION` matcher-kernel rule, and the one-evaluation-pipeline
-//!   rule for the front-end crates.
+//!   `MATCHER_VERSION` matcher-kernel rule, the one-evaluation-pipeline
+//!   rule for the front-end crates, and the no-sleeping-polls rule for
+//!   the daemon.
 //!
 //! Output is deterministic (path-sorted, stable messages) so CI diffs
 //! are meaningful, and a committed count-ratcheted [`baseline`] lets
@@ -39,7 +40,8 @@ pub enum Rule {
     Panic,
     /// `unsafe` without `// SAFETY:`.
     Unsafe,
-    /// Dependency policy / durable writes / matcher fingerprint.
+    /// Dependency policy / durable writes / matcher fingerprint / one
+    /// evaluation pipeline / no sleeping polls.
     Design,
 }
 
@@ -211,12 +213,14 @@ fn collect(opts: &Options) -> Result<(Vec<Finding>, usize, Stats), String> {
         }
     }
 
-    // Unsafe hygiene, durable-write pairing and the one-pipeline rule,
-    // workspace-wide.
+    // Unsafe hygiene, durable-write pairing, the one-pipeline rule and
+    // the no-sleeping-polls rule, workspace-wide (the last two scope
+    // themselves by path).
     for f in &files {
         findings.extend(unsafety::analyze(f));
         findings.extend(design::analyze_rename(f));
         findings.extend(design::analyze_pipeline_copies(f));
+        findings.extend(design::analyze_sleep_polls(f));
     }
 
     // Matcher-kernel fingerprint rule.

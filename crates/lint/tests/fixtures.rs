@@ -32,8 +32,9 @@ fn clean_tree_has_no_findings() {
         render_report(&out)
     );
     // The one panic site carries a well-formed allow (with parens in the
-    // reason), and nothing is baselined.
-    assert_eq!(out.allowed, 1);
+    // reason), so does the one injected-fault sleep, and nothing is
+    // baselined.
+    assert_eq!(out.allowed, 2);
     assert_eq!(out.baselined, 0);
     // The clean tree's lock graph exists and is cycle-free: two locks,
     // consistent a-before-b order.
@@ -61,12 +62,18 @@ fn broken_tree_fails_every_rule_with_location() {
                 && f.token == "malformed-allow"),
         "malformed allow"
     );
-    // The unwrap inside #[cfg(test)] must NOT be flagged.
+    // Design: a poll loop in the daemon — both halves of it.
+    assert!(
+        has(Rule::Design, "crates/serve/src/daemon.rs", 15),
+        "try_recv"
+    );
+    assert!(has(Rule::Design, "crates/serve/src/daemon.rs", 18), "sleep");
+    // The unwrap and the sleep inside #[cfg(test)] must NOT be flagged.
     assert!(
         !out.findings
             .iter()
-            .any(|f| f.file == "crates/serve/src/daemon.rs" && f.line > 12),
-        "test-code unwrap leaked: {:?}",
+            .any(|f| f.file == "crates/serve/src/daemon.rs" && f.line > 20),
+        "test-code finding leaked: {:?}",
         out.findings
     );
 

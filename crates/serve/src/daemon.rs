@@ -3,9 +3,10 @@
 //!
 //! Threading model (std only — no async runtime):
 //!
-//! * one **accept thread** polls a non-blocking [`TcpListener`], enforces
+//! * one **accept thread** blocks in [`TcpListener::accept`], enforces
 //!   the connection cap (over-cap clients get one typed `rejected` line
-//!   with a retry hint), and spawns a connection thread per client;
+//!   with a retry hint), spawns a connection thread per client, and reaps
+//!   the handles of finished ones as it goes;
 //! * **connection threads** parse request lines through a bounded line
 //!   reader (oversized lines get a typed `error` and the connection is
 //!   closed — a client cannot make the daemon buffer unbounded input),
@@ -25,21 +26,29 @@
 //!   temp+fsync+rename path as shutdown, so a SIGKILL loses at most one
 //!   interval of entries.
 //!
-//! Every blocking wait is a timeout poll against the handle's stop flag,
-//! so `SIGINT` (via [`tacos_core::shutdown`]) or a `shutdown` op drains
-//! the daemon within ~100 ms and the warm cache is persisted on the way
-//! out.
+//! Between a client's `connect` and its answer nothing sleeps: every wait
+//! is a blocking wait with a named waker. The accept thread is woken by a
+//! connection; workers block on the job queue and are woken by a send or
+//! by the channel closing; the supervisor, the checkpoint thread and
+//! injected stalls wait on one stop [`Condvar`] (see [`ServerState::park`])
+//! notified by a stop request and by a dying worker. A stop request —
+//! [`DaemonHandle::stop`] after `SIGINT` (via [`tacos_core::shutdown`]), or
+//! a `shutdown` op — sets the flag, notifies that condvar and wakes the
+//! accept thread with a loopback self-connect; a connection accepted after
+//! the flag is dropped, not served. Connection threads notice within
+//! [`READ_POLL`] (their read timeout — a request wakes the read at once),
+//! queued jobs drain, and the warm cache is persisted on the way out.
 //!
 //! All of the failure paths above are exercised deterministically by
 //! [`crate::FaultPlan`] (the `--faults` flag) and asserted by
 //! `tacos chaos`.
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -58,11 +67,21 @@ use crate::protocol::{OkBody, Op, Request, Response, StatsBody};
 /// File name of the warm-cache snapshot inside `--cache-dir`.
 pub const SNAPSHOT_FILE: &str = "warm.tacos-cache";
 
-/// How long blocking loops sleep between stop-flag checks.
-const POLL: Duration = Duration::from_millis(25);
-
-/// Read timeout on client connections; bounds shutdown latency.
+/// Read timeout on client connections: how often an *idle* connection
+/// thread checks the stop flag and its idle clock. Bounds shutdown
+/// latency, never request latency — arriving bytes end the read at once.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// Budget for the loopback self-connect that wakes the accept thread.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How long the accept thread waits (on the stop condvar) after a failed
+/// `accept` — descriptor exhaustion, mostly — before trying again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// The accept thread reaps finished connection handles whenever the list
+/// has grown to this length, then doubles the mark over what survived.
+const REAP_FLOOR: usize = 32;
 
 /// Per-connection line buffers shrink back to this capacity after each
 /// request, so one large (but admissible) request doesn't pin its peak
@@ -167,12 +186,19 @@ struct Counters {
 }
 
 /// Decrements a liveness counter when its scope ends — however the
-/// scope ends, including a panic unwinding through it.
-struct AliveGuard<'a>(&'a AtomicUsize);
+/// scope ends, including a panic unwinding through it — and, for a
+/// worker, wakes the supervisor to replace it.
+struct AliveGuard<'a> {
+    count: &'a AtomicUsize,
+    wake: Option<&'a ServerState>,
+}
 
 impl Drop for AliveGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+        self.count.fetch_sub(1, Ordering::Relaxed);
+        if let Some(state) = self.wake {
+            state.notify_parked();
+        }
     }
 }
 
@@ -181,6 +207,19 @@ struct ServerState {
     inflight: InFlightRegistry<FlightOutcome>,
     counters: Counters,
     stop: AtomicBool,
+    /// The stop condvar and its (stateless) mutex: what the supervisor,
+    /// the checkpoint thread and injected stalls park on. Everything that
+    /// changes a parked thread's condition — the stop flag, a worker's
+    /// death — calls [`ServerState::notify_parked`] after the change.
+    parked: Mutex<()>,
+    unpark: Condvar,
+    /// Where a self-connect reaches the listener: the bound address, an
+    /// unspecified IP mapped to the same family's loopback.
+    wake_addr: SocketAddr,
+    /// Set by the first stop request: whether its self-connect, which
+    /// wakes the accept thread, got through (if not,
+    /// [`DaemonHandle::stop`] must not wait for that thread).
+    accept_woken: OnceLock<bool>,
     /// `None` once shutdown has begun and the channel is closed.
     jobs: Mutex<Option<mpsc::SyncSender<Job>>>,
     /// Enqueue sequence for jobs (fault-plan coordinate).
@@ -209,6 +248,58 @@ struct ServerState {
 impl ServerState {
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::Relaxed)
+    }
+
+    /// Wakes every thread in [`ServerState::park`] to re-check its
+    /// condition. Taking the mutex first closes the lost-wakeup window: a
+    /// parker either sees the change made before this call, or is already
+    /// waiting when the notification lands.
+    fn notify_parked(&self) {
+        drop(self.parked.lock().unwrap_or_else(PoisonError::into_inner));
+        self.unpark.notify_all();
+    }
+
+    /// Blocks until `ready()` holds or `deadline` passes, whichever is
+    /// first; returns immediately when `ready()` already holds.
+    fn park(&self, deadline: Option<Instant>, ready: impl Fn() -> bool) {
+        let mut guard = self.parked.lock().unwrap_or_else(PoisonError::into_inner);
+        while !ready() {
+            guard = match deadline {
+                None => self
+                    .unpark
+                    .wait(guard)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return;
+                    }
+                    self.unpark
+                        .wait_timeout(guard, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+        }
+    }
+
+    /// Begins shutdown (idempotent): sets the stop flag, wakes everything
+    /// parked on the stop condvar, and — once, whoever asks first — wakes
+    /// the accept thread out of `accept()` with a loopback self-connect,
+    /// which it drops unserved. Returns whether that wake-up got through;
+    /// a later caller waits for the first one's attempt to finish.
+    fn request_stop(&self) -> bool {
+        self.stop.store(true, Ordering::SeqCst);
+        self.notify_parked();
+        *self.accept_woken.get_or_init(|| {
+            TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT)
+                .map_err(|e| {
+                    self.notice(&format!(
+                        "could not wake the accept loop ({e}); it exits at the next connection"
+                    ));
+                })
+                .is_ok()
+        })
     }
 
     fn notice(&self, msg: &str) {
@@ -269,11 +360,11 @@ pub struct Daemon;
 pub struct DaemonHandle {
     state: Arc<ServerState>,
     addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    /// Returns the connection threads still running when it exits.
+    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     supervisor: Option<JoinHandle<()>>,
     checkpointer: Option<JoinHandle<()>>,
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 /// Removes `warm.tmp.*` checkpoint debris from `dir`, returning how
@@ -368,8 +459,12 @@ impl Daemon {
         };
 
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let wake_ip = match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
 
         let queue_depth = config.queue_depth.max(1);
         let target_workers = config.workers.max(1);
@@ -381,6 +476,10 @@ impl Daemon {
             inflight: InFlightRegistry::new(),
             counters: Counters::default(),
             stop: AtomicBool::new(false),
+            parked: Mutex::new(()),
+            unpark: Condvar::new(),
+            wake_addr: SocketAddr::new(wake_ip, addr.port()),
+            accept_woken: OnceLock::new(),
             jobs: Mutex::new(Some(tx)),
             job_seq: AtomicU64::new(0),
             conn_seq: AtomicU64::new(0),
@@ -426,11 +525,9 @@ impl Daemon {
             _ => None,
         };
 
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let state = Arc::clone(&state);
-            let conns = Arc::clone(&conns);
-            thread::spawn(move || accept_loop(&listener, &state, &conns))
+            thread::spawn(move || accept_loop(&listener, &state))
         };
 
         Ok(DaemonHandle {
@@ -440,7 +537,6 @@ impl Daemon {
             supervisor: Some(supervisor),
             checkpointer,
             workers,
-            conns,
         })
     }
 }
@@ -468,15 +564,22 @@ impl DaemonHandle {
     /// cache. Returns the number of entries written (0 without a cache
     /// directory).
     pub fn stop(mut self) -> io::Result<usize> {
-        self.state.stop.store(true, Ordering::Relaxed);
-        // Closing the channel lets idle workers exit immediately.
+        let accept_woken = self.state.request_stop();
+        // Closing the channel wakes the workers blocked on it; they drain
+        // what is still queued, then exit.
         self.state
             .jobs
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .take();
+        let mut conns = Vec::new();
         if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+            // An accept thread nothing could wake is left behind rather
+            // than waited for: it owns only the listener and exits at the
+            // next connection.
+            if accept_woken || accept.is_finished() {
+                conns = accept.join().unwrap_or_default();
+            }
         }
         // The supervisor first, so nothing respawns while we drain.
         if let Some(supervisor) = self.supervisor.take() {
@@ -490,7 +593,6 @@ impl DaemonHandle {
         if let Some(checkpointer) = self.checkpointer.take() {
             let _ = checkpointer.join();
         }
-        let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
         for c in conns {
             let _ = c.join();
         }
@@ -510,7 +612,10 @@ fn spawn_worker(state: &Arc<ServerState>, rx: &Arc<Mutex<mpsc::Receiver<Job>>>) 
     let state = Arc::clone(state);
     let rx = Arc::clone(rx);
     thread::spawn(move || {
-        let _alive = AliveGuard(&state.live_workers);
+        let _alive = AliveGuard {
+            count: &state.live_workers,
+            wake: Some(&state),
+        };
         worker_loop(&state, &rx);
     })
 }
@@ -552,24 +657,19 @@ fn supervisor_loop(
                 guard.push(spawn_worker(state, rx));
             }
         }
-        thread::sleep(POLL);
+        state.park(None, || {
+            state.stopping() || state.live_workers.load(Ordering::Relaxed) < state.target_workers
+        });
     }
 }
 
-/// Persists the warm cache every `every`, sleeping in stop-checked
-/// slices so shutdown is never blocked on a checkpoint interval.
+/// Persists the warm cache every `every`, waiting out the interval on
+/// the stop condvar so shutdown is never blocked on it.
 fn checkpoint_loop(state: &Arc<ServerState>, every: Duration) {
     loop {
-        let deadline = Instant::now() + every;
-        loop {
-            if state.stopping() {
-                return;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            thread::sleep(left.min(POLL));
+        state.park(Some(Instant::now() + every), || state.stopping());
+        if state.stopping() {
+            return;
         }
         match state.persist() {
             Ok(written) => {
@@ -582,16 +682,19 @@ fn checkpoint_loop(state: &Arc<ServerState>, every: Duration) {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    state: &Arc<ServerState>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+/// Accepts until a stop request; returns the connection threads that
+/// were still running when it left.
+fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) -> Vec<JoinHandle<()>> {
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    let mut reap_at = REAP_FLOOR;
     loop {
+        let accepted = listener.accept();
         if state.stopping() {
-            return;
+            // Whatever just arrived — the wake-up self-connect, or a
+            // client that raced the stop — is closed unanswered.
+            return conns;
         }
-        match listener.accept() {
+        match accepted {
             Ok((mut stream, _)) => {
                 let conn_index = state.conn_seq.fetch_add(1, Ordering::Relaxed) + 1;
                 if state.live_conns.load(Ordering::Relaxed) >= state.max_connections {
@@ -611,16 +714,19 @@ fn accept_loop(
                 }
                 state.live_conns.fetch_add(1, Ordering::Relaxed);
                 let state = Arc::clone(state);
-                let handle = thread::spawn(move || connection_loop(stream, &state, conn_index));
-                conns
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(handle);
+                conns.push(thread::spawn(move || {
+                    connection_loop(stream, &state, conn_index)
+                }));
+                // A connect-per-session fleet would otherwise grow this
+                // list by one dead handle per session until shutdown.
+                if conns.len() >= reap_at {
+                    conns.retain(|conn| !conn.is_finished());
+                    reap_at = (conns.len() * 2).max(REAP_FLOOR);
+                }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
             Err(e) => {
                 state.notice(&format!("accept error: {e}"));
-                thread::sleep(POLL);
+                state.park(Some(Instant::now() + ACCEPT_BACKOFF), || state.stopping());
             }
         }
     }
@@ -719,7 +825,10 @@ fn drain_rejected_line(reader: &mut BufReader<TcpStream>) {
 }
 
 fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, conn_index: u64) {
-    let _alive = AliveGuard(&state.live_conns);
+    let _alive = AliveGuard {
+        count: &state.live_conns,
+        wake: None,
+    };
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
@@ -743,7 +852,7 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, conn_index: u64)
                     if !trimmed.is_empty() {
                         let response = handle_line(state, trimmed);
                         if let Some(delay) = response_delay {
-                            thread::sleep(delay);
+                            thread::sleep(delay); // lint: allow(design, "fault injection: the conn-delay fault is a deliberate per-response sleep")
                         }
                         if writer.write_all(response.line().as_bytes()).is_err()
                             || writer.flush().is_err()
@@ -824,7 +933,7 @@ fn handle_line(state: &Arc<ServerState>, line: &str) -> Response {
             }
         },
         Op::Shutdown => {
-            state.stop.store(true, Ordering::Relaxed);
+            state.request_stop();
             Response::ShuttingDown(req.id)
         }
         Op::Synthesize => match synthesize(state, &req) {
@@ -1008,26 +1117,22 @@ fn ok_body(topo: &Topology, size: ByteSize, time: Time, algorithm: &str) -> OkBo
 fn worker_loop(state: &Arc<ServerState>, rx: &Arc<Mutex<mpsc::Receiver<Job>>>) {
     let mut scratch = SynthesisScratch::new();
     loop {
+        // Blocks in `recv` holding the receiver lock; the other idle
+        // workers block on the lock. A send wakes the holder, which lets
+        // go of the lock before it runs the job. `recv` fails only once
+        // `stop` has closed the channel *and* the queue has drained.
         let job = {
             let rx = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            rx.try_recv()
+            rx.recv()
         };
-        match job {
-            Ok(job) => {
-                if run_job(state, job, &mut scratch) {
-                    // The job panicked: this thread dies so its
-                    // replacement starts with pristine scratch state;
-                    // the supervisor respawns and counts it.
-                    return;
-                }
-            }
-            Err(mpsc::TryRecvError::Empty) => {
-                if state.stopping() {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(mpsc::TryRecvError::Disconnected) => return,
+        let Ok(job) = job else {
+            return;
+        };
+        if run_job(state, job, &mut scratch) {
+            // The job panicked: this thread dies so its replacement
+            // starts with pristine scratch state; the supervisor
+            // respawns and counts it.
+            return;
         }
     }
 }
@@ -1044,15 +1149,8 @@ fn run_job(state: &Arc<ServerState>, job: Job, scratch: &mut SynthesisScratch) -
     } = job;
     let (stall, injected_panic) = state.faults.job_fault(index);
     if let Some(stall) = stall {
-        // Stop-checked slices so an injected stall cannot hang shutdown.
-        let deadline = Instant::now() + stall;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() || state.stopping() {
-                break;
-            }
-            thread::sleep(left.min(POLL));
-        }
+        // On the stop condvar, so an injected stall cannot hang shutdown.
+        state.park(Some(Instant::now() + stall), || state.stopping());
     }
     let started = Instant::now();
     let generated = catch_unwind(AssertUnwindSafe(|| {
@@ -1091,5 +1189,42 @@ fn run_job(state: &Arc<ServerState>, job: Job, scratch: &mut SynthesisScratch) -
             );
             true
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    #[test]
+    fn finished_connection_handles_are_reaped_as_sessions_come_and_go() {
+        let mut daemon = Daemon::spawn(DaemonConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            quiet: true,
+            ..DaemonConfig::default()
+        })
+        .expect("daemon starts");
+        // A launcher fleet: connect, one request, close — 200 times over.
+        for i in 0..200 {
+            let mut client = Client::connect(daemon.addr()).expect("connect");
+            let pong = client.call(&format!("{{\"op\":\"ping\",\"id\":{i}}}"));
+            assert!(pong.is_ok(), "session {i}: {pong:?}");
+        }
+        // The accept thread hands back the handles it still holds.
+        assert!(daemon.state.request_stop());
+        let held = daemon
+            .accept
+            .take()
+            .expect("accept thread handle")
+            .join()
+            .expect("accept thread exits cleanly");
+        assert!(
+            held.len() <= 2 * REAP_FLOOR,
+            "200 closed sessions left {} connection handles behind",
+            held.len()
+        );
+        daemon.stop().expect("clean stop");
     }
 }

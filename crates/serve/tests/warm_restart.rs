@@ -76,6 +76,72 @@ fn a_restarted_daemon_serves_from_the_persisted_cache() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
+/// A snapshot written by the binary built just before the checkpoint
+/// path was rewritten (bitwise CRC over a `format!`-copied record, whole
+/// file built as one `String`): the table-driven, streaming build must
+/// read the same container — every entry verifies and serves as a hit.
+///
+/// The fixture was produced by that build's `tacos serve --cache-dir`
+/// answering the four requests below. It records the matcher version it
+/// was written under; once `MATCHER_VERSION` moves past it, what this
+/// pins is the readable cold start instead.
+#[test]
+fn a_snapshot_written_by_the_previous_build_reloads_as_all_hits() {
+    const WRITTEN_BY_PARENT: &str = include_str!("fixtures/warm-written-by-pr14.tacos-cache");
+    const REQUESTS: [&str; 4] = [
+        r#"{"topology":"mesh:2x2","collective":"all-gather","size":"1MB"}"#,
+        r#"{"topology":"ring:4","collective":"all-reduce","size":"4MB","seed":7}"#,
+        r#"{"topology":"mesh:2x2","collective":"all-reduce","size":"1MB","mechanism":"ring"}"#,
+        r#"{"topology":"fc:4","collective":"reduce-scatter","size":"2MB","chunks":2}"#,
+    ];
+    // What that build answered when it synthesized them.
+    const TIMES_PS: [u64; 4] = [11_000_000, 82_000_000, 38_500_000, 11_000_000];
+
+    let cache_dir = temp_dir("parent-snapshot");
+    std::fs::create_dir_all(&cache_dir).unwrap();
+    let snapshot = cache_dir.join(SNAPSHOT_FILE);
+    std::fs::write(&snapshot, WRITTEN_BY_PARENT).unwrap();
+
+    let same_matcher = WRITTEN_BY_PARENT
+        .lines()
+        .nth(1)
+        .is_some_and(|line| line == format!("matcher {}", tacos_core::MATCHER_VERSION));
+    if !same_matcher {
+        let err = WarmCache::load_from(&snapshot).expect_err("a stale matcher must not load");
+        assert!(err.to_string().contains("cold start"), "{err}");
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        return;
+    }
+
+    let report = WarmCache::load_from(&snapshot).expect("the parent's snapshot parses");
+    assert!(report.is_clean(), "{:?}", report.detail);
+    assert_eq!((report.entries_expected, report.entries_loaded), (4, 4));
+
+    let daemon = daemon_at(&cache_dir);
+    for (request, time_ps) in REQUESTS.into_iter().zip(TIMES_PS) {
+        let response = call(&daemon, request);
+        assert_eq!(
+            response.get("cache_hit").and_then(Json::as_bool),
+            Some(true),
+            "{request}: {response}"
+        );
+        assert_eq!(
+            response.get("collective_time_ps").and_then(Json::as_u64),
+            Some(time_ps),
+            "{request}"
+        );
+    }
+    let stats = daemon.stats();
+    assert_eq!((stats.synthesized, stats.cache_hits), (0, 4), "{stats:?}");
+    // Rewritten by this build, the snapshot is the same bytes.
+    assert_eq!(daemon.stop().expect("clean stop"), 4);
+    assert_eq!(
+        std::fs::read_to_string(&snapshot).unwrap(),
+        WRITTEN_BY_PARENT
+    );
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
 #[test]
 fn checkpoint_persists_without_stopping() {
     let cache_dir = temp_dir("checkpoint");
