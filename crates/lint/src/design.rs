@@ -22,6 +22,11 @@
 //!   the daemon never sleeps: every wait in `crates/serve/src/daemon.rs`
 //!   is a blocking wait with a named waker. `thread::sleep`, `try_recv`
 //!   and `set_nonblocking` are how a poll loop comes back.
+//! * **One axis table** — `crates/scenario/src/axis.rs` describes every
+//!   sweep axis once; parsing, expansion, exclusion, grouping and the
+//!   output cells read its rows. An axis name spelled as a string
+//!   literal anywhere else in `tacos-scenario`'s production source is a
+//!   hand-written per-axis arm regrowing.
 
 use crate::lexer::TokKind;
 use crate::source::SourceFile;
@@ -247,6 +252,47 @@ pub fn analyze_sleep_polls(f: &SourceFile) -> Vec<Finding> {
     out
 }
 
+/// Flags the string literals `"without_links"` / `"prefer_cheap_links"`
+/// in `tacos-scenario`'s production source outside the axis table. The
+/// two names stand for the whole axis list: no code but a per-axis arm
+/// has a reason to spell them.
+pub fn analyze_axis_copies(f: &SourceFile) -> Vec<Finding> {
+    const TABLE: &str = "crates/scenario/src/axis.rs";
+    let mut out = Vec::new();
+    if !f.rel.starts_with("crates/scenario/src/") || f.rel == TABLE {
+        return out;
+    }
+    // The lexer drops literal contents: find the lines that carry a
+    // string literal, then read the names off the raw line.
+    let mut lines: Vec<u32> = f
+        .toks
+        .iter()
+        .filter(|t| t.kind == TokKind::Str && !f.in_test_code(t.line))
+        .map(|t| t.line)
+        .collect();
+    lines.dedup();
+    let source: Vec<&str> = f.text.lines().collect();
+    for line in lines {
+        let text = source.get(line as usize - 1).copied().unwrap_or("");
+        for axis in ["without_links", "prefer_cheap_links"] {
+            if text.contains(&format!("\"{axis}\"")) {
+                out.push(Finding {
+                    rule: Rule::Design,
+                    file: f.rel.clone(),
+                    line,
+                    token: axis.to_string(),
+                    message: format!(
+                        "the axis name \"{axis}\" spelled outside {TABLE} — axes are \
+                         described once, in `AXES`; read the row (its name, ranks, cells, \
+                         accessors) instead of growing a per-axis arm"
+                    ),
+                });
+            }
+        }
+    }
+    out
+}
+
 /// Requires every matcher-kernel file to reference `MATCHER_VERSION`.
 pub fn analyze_matcher_version(files: &[SourceFile], kernel: &[String]) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -364,6 +410,25 @@ mod tests {
         // Clients, the chaos harness and the bench may sleep and poll.
         let client = SourceFile::parse("crates/serve/src/client.rs".into(), src.into());
         assert!(analyze_sleep_polls(&client).is_empty());
+    }
+
+    #[test]
+    fn axis_names_are_flagged_outside_the_table_only() {
+        let src = "fn header() -> [&'static str; 2] {\n  [\"scenario\", \"without_links\"]\n}\n\
+                   fn fine(p: &Point) -> String { format!(\"f{}\", p.without_links) }\n\
+                   // \"prefer_cheap_links\" in a comment is no literal.\n\
+                   #[cfg(test)]\nmod tests {\n  fn t() { key(\"prefer_cheap_links\"); }\n}\n";
+        let arm = SourceFile::parse("crates/scenario/src/runner.rs".into(), src.into());
+        let found: Vec<(u32, String)> = analyze_axis_copies(&arm)
+            .into_iter()
+            .map(|f| (f.line, f.token))
+            .collect();
+        assert_eq!(found, [(2, "without_links".to_string())]);
+        // The table itself, and every other crate, may name axes.
+        for rel in ["crates/scenario/src/axis.rs", "crates/cli/src/main.rs"] {
+            let other = SourceFile::parse(rel.into(), src.into());
+            assert!(analyze_axis_copies(&other).is_empty(), "{rel}");
+        }
     }
 
     #[test]

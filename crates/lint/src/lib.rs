@@ -13,8 +13,8 @@
 //! * [`unsafety`] — every `unsafe` needs an adjacent `// SAFETY:`.
 //! * [`design`] — dependency policy, durable-write pairing, the
 //!   `MATCHER_VERSION` matcher-kernel rule, the one-evaluation-pipeline
-//!   rule for the front-end crates, and the no-sleeping-polls rule for
-//!   the daemon.
+//!   rule for the front-end crates, the no-sleeping-polls rule for the
+//!   daemon, and the one-axis-table rule for `tacos-scenario`.
 //!
 //! Output is deterministic (path-sorted, stable messages) so CI diffs
 //! are meaningful, and a committed count-ratcheted [`baseline`] lets
@@ -41,7 +41,7 @@ pub enum Rule {
     /// `unsafe` without `// SAFETY:`.
     Unsafe,
     /// Dependency policy / durable writes / matcher fingerprint / one
-    /// evaluation pipeline / no sleeping polls.
+    /// evaluation pipeline / no sleeping polls / one axis table.
     Design,
 }
 
@@ -213,14 +213,15 @@ fn collect(opts: &Options) -> Result<(Vec<Finding>, usize, Stats), String> {
         }
     }
 
-    // Unsafe hygiene, durable-write pairing, the one-pipeline rule and
-    // the no-sleeping-polls rule, workspace-wide (the last two scope
-    // themselves by path).
+    // Unsafe hygiene, durable-write pairing, the one-pipeline,
+    // no-sleeping-polls and one-axis-table rules, workspace-wide (the
+    // last three scope themselves by path).
     for f in &files {
         findings.extend(unsafety::analyze(f));
         findings.extend(design::analyze_rename(f));
         findings.extend(design::analyze_pipeline_copies(f));
         findings.extend(design::analyze_sleep_polls(f));
+        findings.extend(design::analyze_axis_copies(f));
     }
 
     // Matcher-kernel fingerprint rule.

@@ -99,6 +99,13 @@ fn broken_tree_fails_every_rule_with_location() {
     // evaluation pipeline.
     assert!(has(Rule::Design, "crates/serve/src/copy.rs", 5), "copy");
 
+    // Design: a scenario consumer spelling an axis name instead of
+    // reading the axis table.
+    assert!(
+        has(Rule::Design, "crates/scenario/src/arm.rs", 5),
+        "axis arm"
+    );
+
     // Lock order: the AB/BA pair must produce a cycle finding whose
     // message carries both acquisition chains (file:line witnesses).
     let cycle = out

@@ -1,22 +1,43 @@
 //! Deterministic expansion of sweep axes into grid points.
 //!
 //! Expansion is the cartesian product of the (deduplicated) axes in a
-//! fixed nesting order — topology, model, without_links, link,
-//! collective, size, chunks, algo, seed, attempts, prefer_cheap_links —
-//! so a scenario file always produces the same points in the same order,
-//! point indices are stable across runs, and cardinality is exactly the
-//! product of the axis lengths minus any combinations removed by
-//! `[[exclude]]` rules (indices stay dense after exclusion). Training
-//! scenarios (`[workload]`) draw the model axis from their settings and
-//! carry no collective/size values (gradient collectives come from the
-//! model).
+//! fixed nesting order — the row order of `axis::AXES`, first row
+//! outermost — so a scenario file always produces the same points in the
+//! same order, point indices are stable across runs, and cardinality is
+//! exactly the product of the axis lengths minus any combinations removed
+//! by `[[exclude]]` rules (indices stay dense after exclusion).
+//!
+//! | axis (nesting order) | type | default | accepted in |
+//! |---|---|---|---|
+//! | `topology` | string | required | `[sweep]` `[quick]` `[[exclude]]` `group_by` |
+//! | `model` | string | required | `[workload]` `[quick]` `[[exclude]]` `group_by` |
+//! | `without_links` | count or `"id+id"` | `0` | `[sweep]` `[quick]` `[[exclude]]` `group_by` |
+//! | `link` | `{ alpha_us, bandwidth_gbps }` | `0.5`, `50.0` | `[sweep]` `[quick]` `group_by` |
+//! | `collective` | string | `all-reduce` | `[sweep]` `[quick]` `[[exclude]]` `group_by` |
+//! | `size` | string | `64MB` | `[sweep]` `[quick]` `[[exclude]]` `group_by` |
+//! | `chunks` | integer | `1` | `[sweep]` (also `synth.`) `[quick]` `[[exclude]]` `group_by` |
+//! | `algo` | string | `tacos` | `[sweep]` `[quick]` `[[exclude]]` |
+//! | `seed` | integer | `42` | `[sweep]` (also `synth.`) `[quick]` `[[exclude]]` `group_by` |
+//! | `attempts` | integer | `1` | `[sweep]` (also `synth.`) `[quick]` `[[exclude]]` `group_by` |
+//! | `prefer_cheap_links` | boolean | `true` | `[sweep] synth` `[quick] synth` `[[exclude]]` `group_by` |
+//!
+//! Training scenarios (`[workload]`) carry no `collective`/`size` values
+//! (gradient collectives come from the model) and reject both axes
+//! everywhere. Of the orders an axis list can appear in, two are
+//! contract: this nesting order (point indices follow it) and the CSV
+//! identity-column order (topology, model, collective, size, size_bytes,
+//! chunks, algo, seed, attempts, prefer_cheap_links, without_links,
+//! alpha_us, link_gbps). The default `group_by` order is not: no output
+//! shows it.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use tacos_topology::ByteSize;
 
+use crate::axis::AXES;
 use crate::error::ScenarioError;
-use crate::spec::{parse_size, AxisValues, LinkAxis, ScenarioSpec, WithoutLinks};
+use crate::spec::{LinkAxis, ScenarioSpec, WithoutLinks};
 
 /// One fully instantiated grid point.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,98 +119,71 @@ impl fmt::Display for ScenarioPoint {
 /// dropping combinations matched by the spec's `[[exclude]]` rules.
 ///
 /// # Errors
-/// Returns a spec error if a size string fails to parse (normally caught
-/// at spec validation already) or if the exclusion rules remove every
-/// point.
+/// Returns a spec error if an axis value cannot be placed on a point (a
+/// size string that fails to parse — normally caught at spec validation
+/// already) or if the exclusion rules remove every point.
 pub fn expand(spec: &ScenarioSpec) -> Result<Vec<ScenarioPoint>, ScenarioError> {
-    let axes = &spec.sweep;
-    let training = spec.evaluation.is_training();
-    // Training points take their collective shape from the model; their
-    // collective/size cells stay empty of sweep values.
-    let sizes: Vec<(String, ByteSize)> = if training {
-        vec![(String::new(), ByteSize::ZERO)]
-    } else {
-        let mut sizes = Vec::with_capacity(axes.size.len());
-        for label in &axes.size {
-            let parsed = parse_size(label)
-                .map_err(|e| ScenarioError::spec(format!("sweep.size '{label}': {e}")))?;
-            sizes.push((label.clone(), parsed));
-        }
-        sizes
-    };
-    let collectives: Vec<String> = if training {
-        vec!["all-reduce".to_string()]
-    } else {
-        axes.collective.clone()
-    };
-    let models = spec.evaluation.model_axis();
-    let cardinality = axes.topology.len()
-        * models.len()
-        * axes.without_links.len()
-        * axes.link.len()
-        * collectives.len()
-        * sizes.len()
-        * axes.chunks.len()
-        * axes.algo.len()
-        * axes.seed.len()
-        * axes.attempts.len()
-        * axes.prefer_cheap_links.len();
-    let excluded = |v: AxisValues<'_>| spec.excludes.iter().any(|rule| rule.matches(v));
-    let mut points = Vec::with_capacity(cardinality);
-    for topology in &axes.topology {
-        for model in &models {
-            let model_label = model.as_deref().unwrap_or("");
-            for without_links in &axes.without_links {
-                let failure_label = without_links.label();
-                for link in &axes.link {
-                    for collective in &collectives {
-                        for (size_label, size) in &sizes {
-                            for &chunks in &axes.chunks {
-                                for algo in &axes.algo {
-                                    for &seed in &axes.seed {
-                                        for &attempts in &axes.attempts {
-                                            for &prefer_cheap_links in &axes.prefer_cheap_links {
-                                                if excluded(AxisValues {
-                                                    topology,
-                                                    collective,
-                                                    size: size_label,
-                                                    algo,
-                                                    chunks,
-                                                    seed,
-                                                    attempts,
-                                                    without_links: &failure_label,
-                                                    model: model_label,
-                                                    prefer_cheap_links,
-                                                }) {
-                                                    continue;
-                                                }
-                                                points.push(ScenarioPoint {
-                                                    index: points.len(),
-                                                    topology: topology.clone(),
-                                                    model: model.clone(),
-                                                    link: *link,
-                                                    collective: collective.clone(),
-                                                    size_label: size_label.clone(),
-                                                    size: *size,
-                                                    chunks,
-                                                    algo: algo.clone(),
-                                                    seed,
-                                                    attempts,
-                                                    prefer_cheap_links,
-                                                    without_links: without_links.clone(),
-                                                });
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+    let evaluation = &spec.evaluation;
+    let mut sweep = Cow::Borrowed(&spec.sweep);
+    if evaluation.is_training() {
+        // The model decides these axes: one fixed value each.
+        for fix in AXES.iter().filter_map(|axis| axis.under_workload) {
+            fix(sweep.to_mut());
         }
     }
-    debug_assert!(points.len() <= cardinality);
+    let labels: Vec<_> = AXES
+        .iter()
+        .map(|axis| (axis.labels)(&sweep, evaluation))
+        .collect();
+    // Each rule, resolved against the table: the constrained axis's row
+    // and the labels that match.
+    let row_of = |name: &str| {
+        let row = AXES.iter().position(|axis| axis.name == name);
+        row.expect("rules constrain table axes")
+    };
+    let rules: Vec<Vec<_>> = spec
+        .excludes
+        .iter()
+        .map(|rule| rule.iter().map(|c| (row_of(c.axis), &c.labels)).collect())
+        .collect();
+    let cardinality: usize = labels.iter().map(Vec::len).product();
+    let mut points = Vec::with_capacity(cardinality);
+    for combination in 0..cardinality {
+        // Mixed radix, last axis fastest: this combination's value
+        // position on each axis.
+        let mut rest = combination;
+        let mut chosen = [0; AXES.len()];
+        for row in (0..AXES.len()).rev() {
+            chosen[row] = rest % labels[row].len();
+            rest /= labels[row].len();
+        }
+        let excluded = |rule: &Vec<(usize, &Vec<String>)>| {
+            rule.iter()
+                .all(|(row, matching)| matching.contains(&labels[*row][chosen[*row]]))
+        };
+        if rules.iter().any(excluded) {
+            continue;
+        }
+        let mut point = ScenarioPoint {
+            index: points.len(),
+            topology: String::new(),
+            model: None,
+            link: LinkAxis::default_paper(),
+            collective: String::new(),
+            size_label: String::new(),
+            size: ByteSize::ZERO,
+            chunks: 0,
+            algo: String::new(),
+            seed: 0,
+            attempts: 0,
+            prefer_cheap_links: true,
+            without_links: WithoutLinks::Count(0),
+        };
+        for (axis, position) in AXES.iter().zip(chosen) {
+            (axis.place)(&mut point, &sweep, evaluation, position).map_err(ScenarioError::spec)?;
+        }
+        points.push(point);
+    }
     if points.is_empty() {
         return Err(ScenarioError::spec(
             "the [[exclude]] rules remove every grid point",

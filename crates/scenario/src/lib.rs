@@ -58,6 +58,7 @@
 
 #![warn(missing_docs)]
 
+mod axis;
 mod diff;
 mod error;
 mod grid;
@@ -72,9 +73,8 @@ pub use grid::{expand, ScenarioPoint};
 pub use progress::Progress;
 pub use runner::{run, PointMetrics, PointRecord, RunSummary, INTERRUPTED, TIMED_OUT};
 pub use spec::{
-    parse_baseline, parse_pattern, parse_size, parse_topology, select_failed_links, AxisValues,
-    CustomLink, CustomTopology, CustomTopologyBody, Evaluation, ExcludeRule, GroupKey, LinkAxis,
-    MetricColumn, ReportSettings, RunSettings, ScenarioSpec, SweepAxes, TimelineSettings,
-    WithoutLinks, WorkloadSettings,
+    parse_baseline, parse_pattern, parse_size, parse_topology, select_failed_links, CustomLink,
+    CustomTopology, CustomTopologyBody, Evaluation, LinkAxis, ReportSettings, RunSettings,
+    ScenarioSpec, SweepAxes, TimelineSettings, WithoutLinks, WorkloadSettings,
 };
 pub use tacos_workload::{Mechanism, Parallelism, SynthMechanism};

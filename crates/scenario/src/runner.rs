@@ -23,6 +23,7 @@
 //! and the full `<stem>.json` are written and the partial file is
 //! removed.
 
+use std::borrow::Cow;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -37,12 +38,13 @@ use tacos_workload::{
     bandwidth_gbps, Evaluator, Mechanism, TrainingEvaluator, TrainingReport, Workload,
 };
 
+use crate::axis::{self, Cell, Column};
 use crate::error::ScenarioError;
 use crate::grid::{expand, ScenarioPoint};
 use crate::progress::Progress;
 use crate::spec::{
-    parse_pattern, select_failed_links, Evaluation, GroupKey, LinkAxis, MetricColumn,
-    ReportSettings, ScenarioSpec, TimelineSettings, WorkloadSettings,
+    parse_pattern, select_failed_links, Evaluation, LinkAxis, ReportSettings, ScenarioSpec,
+    TimelineSettings, WorkloadSettings,
 };
 
 /// The marker a timed-out point's error string starts with (see
@@ -144,179 +146,64 @@ pub struct RunSummary {
     pub elapsed: Duration,
 }
 
-/// The identity columns every CSV layout starts with.
-const IDENTITY_HEADER: [&str; 15] = [
-    "scenario",
-    "point",
-    "topology",
-    "model",
-    "collective",
-    "size",
-    "size_bytes",
-    "chunks",
-    "algo",
-    "seed",
-    "attempts",
-    "prefer_cheap_links",
-    "without_links",
-    "alpha_us",
-    "link_gbps",
-];
+/// A CSV header: the identity columns, the given metric columns, and a
+/// trailing `error` column.
+fn csv_header(columns: &[&Column]) -> Vec<String> {
+    let mut header = axis::identity_header();
+    header.extend(columns.iter().map(|c| c.name.to_string()));
+    header.push("error".to_string());
+    header
+}
 
+/// The CSV form of a cell.
+fn csv(cell: Option<Cell>) -> String {
+    cell.map(|c| c.to_string()).unwrap_or_default()
+}
+
+/// The identity cells of one CSV row, matching the identity header.
 fn identity_cells(scenario: &str, r: &PointRecord) -> Vec<String> {
-    let p = &r.point;
-    // A `tacos:N` variant executes with its own chunking factor; report
-    // the chunking the collective actually ran with, not the axis value
-    // it overrode.
-    let chunks = match &r.result {
-        Ok(m) => m.chunks,
-        Err(_) => p.chunks,
-    };
-    // Training points have no sweep-level payload: the model cell carries
-    // the workload instead of the collective/size pair.
-    let size_bytes = if p.model.is_some() {
-        String::new()
-    } else {
-        p.size.as_u64().to_string()
-    };
-    let mut row = vec![
-        scenario.to_string(),
-        p.index.to_string(),
-        p.topology.clone(),
-        p.model.clone().unwrap_or_default(),
-        p.collective.clone(),
-        p.size_label.clone(),
-        size_bytes,
-        chunks.to_string(),
-        p.algo.clone(),
-        p.seed.to_string(),
-        p.attempts.to_string(),
-        p.prefer_cheap_links.to_string(),
-        p.without_links.label(),
-    ];
-    // Custom topologies carry their own per-link specs; reporting the
-    // sweep's link axis for them would be fabricated data.
-    if p.uses_link_axis() {
-        row.push(format!("{}", p.link.alpha_us));
-        row.push(format!("{}", p.link.bandwidth_gbps));
-    } else {
-        row.push(String::new());
-        row.push(String::new());
-    }
+    let p = reported_point(r);
+    let mut row = vec![scenario.to_string(), p.index.to_string()];
+    row.extend(axis::identity(&p).into_iter().map(|(_, cell, _)| csv(cell)));
     row
 }
 
-fn metric_cell(col: MetricColumn, m: &PointMetrics, normalized: Option<f64>) -> String {
-    match col {
-        MetricColumn::Npus => m.num_npus.to_string(),
-        MetricColumn::CollectiveTimePs => m.collective_time.as_ps().to_string(),
-        MetricColumn::CollectiveTimeUs => format!("{}", m.collective_time.as_micros_f64()),
-        MetricColumn::BandwidthGbps => m
-            .bandwidth_gbps
-            .map(|bw| format!("{bw}"))
-            .unwrap_or_default(),
-        MetricColumn::EfficiencyVsIdeal => format!("{}", m.efficiency),
-        MetricColumn::PercentOfIdeal => format!("{}", m.efficiency * 100.0),
-        MetricColumn::Transfers => m.transfers.to_string(),
-        MetricColumn::SynthesisSeconds => format!("{}", m.synthesis_seconds),
-        MetricColumn::Cache => cache_label(m.cache).to_string(),
-        MetricColumn::NormalizedTime => normalized.map(|v| format!("{v}")).unwrap_or_default(),
-        MetricColumn::AvgUtilization => m
-            .link_stats
-            .map(|s| format!("{}", s.avg_utilization))
-            .unwrap_or_default(),
-        MetricColumn::MaxLinkBytes => m
-            .link_stats
-            .map(|s| s.max_link_bytes.to_string())
-            .unwrap_or_default(),
-        MetricColumn::IdleLinks => m
-            .link_stats
-            .map(|s| s.idle_links.to_string())
-            .unwrap_or_default(),
-        // The original heat-map experiment printed imbalance at three
-        // decimals; keep that for readable diffs.
-        MetricColumn::Imbalance => m
-            .link_stats
-            .map(|s| format!("{:.3}", s.imbalance))
-            .unwrap_or_default(),
-        MetricColumn::ForwardPs => m
-            .training
-            .map(|t| t.forward.as_ps().to_string())
-            .unwrap_or_default(),
-        MetricColumn::BackwardPs => m
-            .training
-            .map(|t| t.backward.as_ps().to_string())
-            .unwrap_or_default(),
-        MetricColumn::WgCommPs => m
-            .training
-            .map(|t| t.weight_grad_comm.as_ps().to_string())
-            .unwrap_or_default(),
-        MetricColumn::IgCommPs => m
-            .training
-            .map(|t| t.input_grad_comm.as_ps().to_string())
-            .unwrap_or_default(),
-        MetricColumn::ComputePs => m
-            .training
-            .map(|t| t.compute().as_ps().to_string())
-            .unwrap_or_default(),
-        MetricColumn::CommPs => m
-            .training
-            .map(|t| t.comm().as_ps().to_string())
-            .unwrap_or_default(),
-    }
-}
-
-/// The raw (unshaped) CSV header streamed to the partial file.
-fn raw_csv_header(training: bool) -> Vec<String> {
-    let columns: &[MetricColumn] = if training {
-        &MetricColumn::TRAINING_DEFAULT
-    } else {
-        &MetricColumn::DEFAULT
-    };
-    IDENTITY_HEADER
+/// One CSV row matching [`csv_header`]: identity cells, then the metric
+/// cells (empty on a failed point) and the error (empty on success).
+fn csv_row(
+    scenario: &str,
+    columns: &[&Column],
+    r: &PointRecord,
+    normalized: Option<f64>,
+) -> Vec<String> {
+    let metrics = r.result.as_ref().ok();
+    let cells = columns
         .iter()
-        .map(|s| s.to_string())
-        .chain(columns.iter().map(|c| c.name().to_string()))
-        .chain(std::iter::once("error".to_string()))
-        .collect()
+        .map(|col| csv(metrics.and_then(|m| col.cell(m, normalized))));
+    let mut row = identity_cells(scenario, r);
+    row.extend(cells);
+    row.push(r.result.as_ref().err().cloned().unwrap_or_default());
+    row
 }
 
-/// One raw CSV row: identity + default metric columns + error.
-fn raw_csv_row(scenario: &str, training: bool, r: &PointRecord) -> Vec<String> {
-    let columns: &[MetricColumn] = if training {
-        &MetricColumn::TRAINING_DEFAULT
-    } else {
-        &MetricColumn::DEFAULT
-    };
-    let mut row = identity_cells(scenario, r);
+/// The point as its row reports it. A `tacos:N` variant executes with its
+/// own chunking factor: rows carry the chunking the collective actually
+/// ran with, not the axis value it overrode.
+fn reported_point(r: &PointRecord) -> Cow<'_, ScenarioPoint> {
     match &r.result {
-        Ok(m) => {
-            row.extend(columns.iter().map(|&col| metric_cell(col, m, None)));
-            row.push(String::new());
-        }
-        Err(e) => {
-            row.extend(std::iter::repeat_with(String::new).take(columns.len()));
-            row.push(e.clone());
-        }
+        Ok(m) if m.chunks != r.point.chunks => Cow::Owned(ScenarioPoint {
+            chunks: m.chunks,
+            ..r.point.clone()
+        }),
+        _ => Cow::Borrowed(&r.point),
     }
-    row
 }
 
 impl RunSummary {
     /// The header of [`RunSummary::csv_rows`]: the identity columns, the
     /// `[report]`-selected metric columns, and a trailing `error` column.
     pub fn csv_header(&self) -> Vec<String> {
-        IDENTITY_HEADER
-            .iter()
-            .map(|s| s.to_string())
-            .chain(
-                self.report
-                    .metric_columns_for(self.training)
-                    .iter()
-                    .map(|c| c.name().to_string()),
-            )
-            .chain(std::iter::once("error".to_string()))
-            .collect()
+        csv_header(&self.report.metric_columns_for(self.training))
     }
 
     /// All records as shaped CSV rows (header first): metric columns as
@@ -325,43 +212,18 @@ impl RunSummary {
     pub fn csv_rows(&self) -> Vec<Vec<String>> {
         let columns = self.report.metric_columns_for(self.training);
         let normalized = self.normalized_times();
-        let mut rows = vec![self.csv_header()];
-        for (r, norm) in self.records.iter().zip(&normalized) {
-            let mut row = identity_cells(&self.scenario, r);
-            match &r.result {
-                Ok(m) => {
-                    row.extend(columns.iter().map(|&col| metric_cell(col, m, *norm)));
-                    row.push(String::new());
-                }
-                Err(e) => {
-                    row.extend(std::iter::repeat_with(String::new).take(columns.len()));
-                    row.push(e.clone());
-                }
-            }
-            rows.push(row);
-        }
-        rows
+        let rows = self.records.iter().zip(&normalized);
+        std::iter::once(csv_header(&columns))
+            .chain(rows.map(|(r, norm)| csv_row(&self.scenario, &columns, r, *norm)))
+            .collect()
     }
 
-    /// The `group_by` key of a point, as a joined string.
+    /// The `group_by` key of a point: the identity cells of the grouping
+    /// axes, joined.
     fn group_key(&self, p: &ScenarioPoint) -> String {
-        self.report
-            .group_by
-            .iter()
-            .map(|k| match k {
-                GroupKey::Topology => p.topology.clone(),
-                GroupKey::Link => p.link.to_string(),
-                GroupKey::Collective => p.collective.clone(),
-                GroupKey::Size => p.size_label.clone(),
-                GroupKey::Chunks => p.chunks.to_string(),
-                GroupKey::Seed => p.seed.to_string(),
-                GroupKey::Attempts => p.attempts.to_string(),
-                GroupKey::WithoutLinks => p.without_links.label(),
-                GroupKey::Model => p.model.clone().unwrap_or_default(),
-                GroupKey::PreferCheapLinks => p.prefer_cheap_links.to_string(),
-            })
-            .collect::<Vec<_>>()
-            .join("\u{1f}")
+        let cells = self.report.group_by.iter().flat_map(|a| a.cells);
+        let cells = cells.map(|(_, cell)| csv(cell(p)));
+        cells.collect::<Vec<_>>().join("\u{1f}")
     }
 
     /// Per-record `normalized_time` values: each successful point's
@@ -401,79 +263,29 @@ impl RunSummary {
     /// set plus any derived values, independent of the CSV shaping).
     pub fn to_json(&self) -> Json {
         let normalized = self.normalized_times();
-        let points = self
-            .records
-            .iter()
-            .zip(&normalized)
-            .map(|(r, norm)| {
-                let p = &r.point;
-                let mut fields = vec![
-                    ("point", (p.index as u64).into()),
-                    ("topology", Json::Str(p.topology.clone())),
-                    (
-                        "chunks",
-                        (r.result.as_ref().map(|m| m.chunks).unwrap_or(p.chunks) as u64).into(),
-                    ),
-                    ("algo", Json::Str(p.algo.clone())),
-                    ("seed", (p.seed).into()),
-                    ("attempts", (p.attempts as u64).into()),
-                    ("prefer_cheap_links", Json::Bool(p.prefer_cheap_links)),
-                ];
-                match &p.model {
-                    Some(model) => fields.push(("model", Json::Str(model.clone()))),
-                    None => {
-                        fields.push(("collective", Json::Str(p.collective.clone())));
-                        fields.push(("size", Json::Str(p.size_label.clone())));
-                        fields.push(("size_bytes", (p.size.as_u64()).into()));
+        let points =
+            self.records
+                .iter()
+                .zip(&normalized)
+                .map(|(r, norm)| {
+                    let p = reported_point(r);
+                    let mut fields = vec![("point", Json::Uint(p.index as u64))];
+                    let identity = axis::identity(&p).into_iter();
+                    fields.extend(identity.filter_map(|(name, cell, in_json)| {
+                        cell.filter(|_| in_json).map(|c| (name, c.json()))
+                    }));
+                    match &r.result {
+                        Ok(m) => {
+                            let carried = axis::COLUMNS.iter().filter(|c| c.in_json());
+                            fields.extend(carried.filter_map(|c| {
+                                c.cell(m, *norm).map(|cell| (c.name, cell.json()))
+                            }));
+                        }
+                        Err(e) => fields.push(("error", Json::Str(e.clone()))),
                     }
-                }
-                if !p.without_links.is_healthy() {
-                    fields.push(("without_links", Json::Str(p.without_links.label())));
-                }
-                if p.uses_link_axis() {
-                    fields.push(("alpha_us", p.link.alpha_us.into()));
-                    fields.push(("link_gbps", p.link.bandwidth_gbps.into()));
-                }
-                match &r.result {
-                    Ok(m) => {
-                        fields.extend([
-                            ("npus", (m.num_npus as u64).into()),
-                            ("collective_time_ps", (m.collective_time.as_ps()).into()),
-                            ("efficiency_vs_ideal", m.efficiency.into()),
-                            ("transfers", (m.transfers).into()),
-                            ("synthesis_seconds", m.synthesis_seconds.into()),
-                            ("cache", Json::Str(cache_label(m.cache).into())),
-                        ]);
-                        if let Some(bw) = m.bandwidth_gbps {
-                            fields.push(("bandwidth_gbps", bw.into()));
-                        }
-                        if let Some(t) = &m.training {
-                            fields.extend([
-                                ("forward_ps", t.forward.as_ps().into()),
-                                ("backward_ps", t.backward.as_ps().into()),
-                                ("wg_comm_ps", t.weight_grad_comm.as_ps().into()),
-                                ("ig_comm_ps", t.input_grad_comm.as_ps().into()),
-                                ("compute_ps", t.compute().as_ps().into()),
-                                ("comm_ps", t.comm().as_ps().into()),
-                            ]);
-                        }
-                        if let Some(s) = m.link_stats {
-                            fields.extend([
-                                ("max_link_bytes", s.max_link_bytes.into()),
-                                ("idle_links", (s.idle_links as u64).into()),
-                                ("imbalance", s.imbalance.into()),
-                                ("avg_utilization", s.avg_utilization.into()),
-                            ]);
-                        }
-                        if let Some(v) = norm {
-                            fields.push(("normalized_time", (*v).into()));
-                        }
-                    }
-                    Err(e) => fields.push(("error", Json::Str(e.clone()))),
-                }
-                Json::obj(fields)
-            })
-            .collect();
+                    Json::obj(fields)
+                })
+                .collect();
         Json::obj([
             ("scenario", Json::Str(self.scenario.clone())),
             ("points", Json::Arr(points)),
@@ -491,25 +303,22 @@ impl RunSummary {
     /// point that captured time-resolved views, joinable to the main CSV
     /// through the shared identity columns.
     pub fn timeline_rows(&self) -> Vec<Vec<String>> {
-        let mut rows = vec![IDENTITY_HEADER
-            .iter()
-            .map(|s| s.to_string())
-            .chain(
-                [
-                    "kind",
-                    "idx",
-                    "start_ps",
-                    "end_ps",
-                    "busy_ps",
-                    "utilization",
-                    "active_links",
-                    "bytes_completed",
-                    "cumulative_bytes",
-                ]
-                .iter()
-                .map(|s| s.to_string()),
-            )
-            .collect::<Vec<String>>()];
+        let mut header = axis::identity_header();
+        header.extend(
+            [
+                "kind",
+                "idx",
+                "start_ps",
+                "end_ps",
+                "busy_ps",
+                "utilization",
+                "active_links",
+                "bytes_completed",
+                "cumulative_bytes",
+            ]
+            .map(str::to_string),
+        );
+        let mut rows = vec![header];
         for r in &self.records {
             let Ok(m) = &r.result else { continue };
             let Some(tl) = &m.timeline else { continue };
@@ -575,14 +384,6 @@ impl RunSummary {
     }
 }
 
-fn cache_label(outcome: Option<CacheOutcome>) -> &'static str {
-    match outcome {
-        Some(CacheOutcome::Hit) => "hit",
-        Some(CacheOutcome::Miss) => "miss",
-        None => "off",
-    }
-}
-
 /// Streams raw result rows to `<stem>.partial.csv` as points complete,
 /// so a killed run keeps every finished point. Rows are appended in
 /// completion order (not grid order) and the file is removed once the
@@ -593,7 +394,7 @@ struct PartialCsv {
 }
 
 impl PartialCsv {
-    fn create(stem: &str, training: bool) -> Result<Self, ScenarioError> {
+    fn create(stem: &str, columns: &[&Column]) -> Result<Self, ScenarioError> {
         let path = std::path::PathBuf::from(format!("{stem}.partial.csv"));
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -603,7 +404,7 @@ impl PartialCsv {
         }
         let mut file = std::fs::File::create(&path)
             .map_err(|e| ScenarioError::io(path.display().to_string(), e))?;
-        file.write_all(to_csv(&[raw_csv_header(training)]).as_bytes())
+        file.write_all(to_csv(&[csv_header(columns)]).as_bytes())
             .map_err(|e| ScenarioError::io(path.display().to_string(), e))?;
         Ok(PartialCsv {
             path,
@@ -644,8 +445,10 @@ pub fn run(spec: &ScenarioSpec) -> Result<RunSummary, ScenarioError> {
         Some(dir) => Some(AlgorithmCache::new(dir).map_err(|e| ScenarioError::io(dir.clone(), e))?),
         None => None,
     };
+    // Raw rows carry the evaluation kind's default metric layout.
+    let raw_columns = Column::default_layout(spec.evaluation.is_training());
     let partial = match &spec.output {
-        Some(stem) => Some(PartialCsv::create(stem, spec.evaluation.is_training())?),
+        Some(stem) => Some(PartialCsv::create(stem, &raw_columns)?),
         None => None,
     };
     let workers = if spec.run.threads == 0 {
@@ -723,11 +526,7 @@ pub fn run(spec: &ScenarioSpec) -> Result<RunSummary, ScenarioError> {
                         result,
                     };
                     if let Some(partial) = &partial {
-                        partial.append(raw_csv_row(
-                            &spec.name,
-                            spec.evaluation.is_training(),
-                            &record,
-                        ));
+                        partial.append(csv_row(&spec.name, &raw_columns, &record, None));
                     }
                     records.lock().expect("no poisoned locks")[i] = Some(record);
                 }
@@ -1651,7 +1450,8 @@ cache = false
         let dir = std::env::temp_dir().join(format!("tacos-partial-keep-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let stem = dir.join("keep").display().to_string();
-        let partial = PartialCsv::create(&stem, false).unwrap();
+        let columns = Column::default_layout(false);
+        let partial = PartialCsv::create(&stem, &columns).unwrap();
         let record = PointRecord {
             point: ScenarioPoint {
                 index: 0,
@@ -1670,7 +1470,7 @@ cache = false
             },
             result: Err("injected".into()),
         };
-        partial.append(raw_csv_row("keep", false, &record));
+        partial.append(csv_row("keep", &columns, &record, None));
         // Deliberately no `remove`: the run "died" here.
         drop(partial);
         let text =

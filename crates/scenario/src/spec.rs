@@ -11,7 +11,8 @@
 //!   sub-table `synth` (`synth.attempts` / `synth.seed` /
 //!   `synth.chunks` as explicit spellings of the matching top-level
 //!   axes, plus the `synth.prefer_cheap_links` on/off axis — the §IV-F
-//!   low-cost-link-prioritization ablation);
+//!   low-cost-link-prioritization ablation); `crate::axis` holds the one
+//!   table all of this is read from;
 //! * optional `[workload]` — switches the scenario from bandwidth
 //!   points to end-to-end training evaluation: a `model` axis
 //!   (`gnmt|resnet50|turing_nlg|msft_1t`), the parallelization's
@@ -33,7 +34,7 @@
 //!   `<stem>.timeline.csv` — see [`TimelineSettings`];
 //! * optional `[[exclude]]` — rules removing individual axis
 //!   combinations from the grid (e.g. an algorithm that is intractable
-//!   at one topology scale) — see [`ExcludeRule`];
+//!   at one topology scale) — see [`ScenarioSpec::excludes`];
 //! * optional `[[topologies]]` — heterogeneous networks as axis values,
 //!   referenced from `sweep.topology` as `custom:<name>`: either
 //!   link-by-link builder descriptions or canonical families with
@@ -58,12 +59,14 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
-use tacos_core::SynthesizerConfig;
 use tacos_topology::{Bandwidth, LinkId, LinkSpec, NpuId, Time, Topology, TopologyBuilder};
-use tacos_workload::{Mechanism, Parallelism, Workload};
+use tacos_workload::{Parallelism, Workload};
 
+use crate::axis::{self, declare, Axis, AxisValue, Cell, Column, Constraint, Place, Source, AXES};
 use crate::error::ScenarioError;
 use crate::toml::{self, Table, Value};
+
+pub use crate::axis::SweepAxes;
 
 /// The string-spec vocabulary lives beside the types it parses
 /// (`tacos-topology`, `tacos-collective`, `tacos-workload`); re-exported
@@ -138,14 +141,14 @@ impl WithoutLinks {
             }
         }
     }
+}
 
-    fn parse_value(v: &Value) -> Result<Self, ScenarioError> {
+impl AxisValue for WithoutLinks {
+    fn parse(path: &str, v: &Value) -> Result<Self, ScenarioError> {
         match v {
             Value::Int(n) => {
                 if *n < 0 {
-                    return Err(ScenarioError::spec(
-                        "sweep.without_links counts must be >= 0",
-                    ));
+                    return Err(ScenarioError::spec(format!("{path} counts must be >= 0")));
                 }
                 Ok(WithoutLinks::Count(*n as usize))
             }
@@ -154,12 +157,12 @@ impl WithoutLinks {
                 for part in s.split('+') {
                     let id: u32 = part.trim().parse().map_err(|e| {
                         ScenarioError::spec(format!(
-                            "sweep.without_links entry '{s}': bad link id '{part}': {e}"
+                            "{path} entry '{s}': bad link id '{part}': {e}"
                         ))
                     })?;
                     if ids.contains(&id) {
                         return Err(ScenarioError::spec(format!(
-                            "sweep.without_links entry '{s}' lists link {id} twice"
+                            "{path} entry '{s}' lists link {id} twice"
                         )));
                     }
                     ids.push(id);
@@ -167,11 +170,15 @@ impl WithoutLinks {
                 Ok(WithoutLinks::Links(ids))
             }
             other => Err(ScenarioError::spec(format!(
-                "sweep.without_links entries must be victim counts (integers) or \
+                "{path} entries must be victim counts (integers) or \
                  '+'-separated link-id strings, found {}",
                 other.type_name()
             ))),
         }
+    }
+
+    fn cell(&self) -> Cell {
+        Cell::Str(self.label())
     }
 }
 
@@ -413,33 +420,6 @@ fn build_family(base: &str, alpha_us: f64, tier_gbps: &[f64]) -> Result<Topology
     }
 }
 
-/// The sweep axes. Grid expansion is their cartesian product.
-#[derive(Debug, Clone)]
-pub struct SweepAxes {
-    /// Topology spec strings (`mesh:3x3`, `custom:<name>`, ...).
-    pub topology: Vec<String>,
-    /// Collective pattern names (`all-reduce`, `all-gather`, ...).
-    pub collective: Vec<String>,
-    /// Collective sizes (`64MB`, `1GB`, ...).
-    pub size: Vec<String>,
-    /// Chunking factors per NPU.
-    pub chunks: Vec<usize>,
-    /// Algorithm names (`tacos` or any baseline).
-    pub algo: Vec<String>,
-    /// Base RNG seeds.
-    pub seed: Vec<u64>,
-    /// Best-of-N attempt counts.
-    pub attempts: Vec<usize>,
-    /// Link specs applied to homogeneous topology constructors.
-    pub link: Vec<LinkAxis>,
-    /// Failure-injection values: links to kill before each point.
-    pub without_links: Vec<WithoutLinks>,
-    /// Low-cost-link-prioritization settings (`synth.prefer_cheap_links`):
-    /// the §IV-F ablation as a sweep axis. Default `[true]` (the paper's
-    /// setting).
-    pub prefer_cheap_links: Vec<bool>,
-}
-
 /// Execution settings for the runner.
 #[derive(Debug, Clone)]
 pub struct RunSettings {
@@ -470,271 +450,6 @@ impl Default for RunSettings {
     }
 }
 
-/// One metric column of the shaped output CSV.
-///
-/// The identity columns (scenario, point index, the axis values) are
-/// always present; `[report] columns` selects and orders the *metric*
-/// columns that follow them. Without a `[report]` section the output
-/// carries [`MetricColumn::DEFAULT`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricColumn {
-    /// NPU count of the instantiated topology.
-    Npus,
-    /// Collective completion time in integer picoseconds.
-    CollectiveTimePs,
-    /// Collective completion time in fractional microseconds.
-    CollectiveTimeUs,
-    /// Achieved bandwidth in GB/s (`total size / time`).
-    BandwidthGbps,
-    /// Fraction of the theoretical ideal bound achieved (0..1).
-    EfficiencyVsIdeal,
-    /// The same efficiency as a percentage (0..100).
-    PercentOfIdeal,
-    /// Number of transfers in the algorithm.
-    Transfers,
-    /// Wall-clock seconds synthesizing (or loading) the algorithm.
-    SynthesisSeconds,
-    /// Cache disposition (`hit` / `miss` / `off`).
-    Cache,
-    /// Collective time divided by the `normalize_over` algorithm's time
-    /// within the same `group_by` group (1.0 on the baseline's own rows).
-    NormalizedTime,
-    /// Mean link utilization over the collective (0..1); needs
-    /// `run.simulate`.
-    AvgUtilization,
-    /// Total bytes carried by the hottest link; needs `run.simulate`.
-    MaxLinkBytes,
-    /// Number of links that carried zero bytes; needs `run.simulate`.
-    IdleLinks,
-    /// Hottest-link bytes over mean link bytes (the paper Fig. 1 hot-spot
-    /// measure); needs `run.simulate`.
-    Imbalance,
-    /// Forward-pass compute in picoseconds; needs `[workload]`.
-    ForwardPs,
-    /// Backward-pass compute in picoseconds; needs `[workload]`.
-    BackwardPs,
-    /// Exposed weight-gradient collective time in picoseconds; needs
-    /// `[workload]`.
-    WgCommPs,
-    /// Exposed input-gradient collective time in picoseconds (zero for
-    /// pure data parallelism); needs `[workload]`.
-    IgCommPs,
-    /// Total compute (`forward + backward`) in picoseconds; needs
-    /// `[workload]`.
-    ComputePs,
-    /// Total exposed communication in picoseconds; needs `[workload]`.
-    CommPs,
-}
-
-impl MetricColumn {
-    /// Every metric column, in `[report] columns` vocabulary order.
-    /// Keep in sync with the `name()` match when adding a variant —
-    /// a column missing here is unselectable from scenario files.
-    pub const ALL: [MetricColumn; 20] = [
-        MetricColumn::Npus,
-        MetricColumn::CollectiveTimePs,
-        MetricColumn::CollectiveTimeUs,
-        MetricColumn::BandwidthGbps,
-        MetricColumn::EfficiencyVsIdeal,
-        MetricColumn::PercentOfIdeal,
-        MetricColumn::Transfers,
-        MetricColumn::SynthesisSeconds,
-        MetricColumn::Cache,
-        MetricColumn::NormalizedTime,
-        MetricColumn::AvgUtilization,
-        MetricColumn::MaxLinkBytes,
-        MetricColumn::IdleLinks,
-        MetricColumn::Imbalance,
-        MetricColumn::ForwardPs,
-        MetricColumn::BackwardPs,
-        MetricColumn::WgCommPs,
-        MetricColumn::IgCommPs,
-        MetricColumn::ComputePs,
-        MetricColumn::CommPs,
-    ];
-
-    /// The metric columns of an unshaped bandwidth run, in output order.
-    pub const DEFAULT: [MetricColumn; 8] = [
-        MetricColumn::Npus,
-        MetricColumn::CollectiveTimePs,
-        MetricColumn::CollectiveTimeUs,
-        MetricColumn::BandwidthGbps,
-        MetricColumn::EfficiencyVsIdeal,
-        MetricColumn::Transfers,
-        MetricColumn::SynthesisSeconds,
-        MetricColumn::Cache,
-    ];
-
-    /// The metric columns of an unshaped training run (`[workload]`
-    /// scenarios), in output order: the iteration total, the four-way
-    /// breakdown of paper Fig. 21, and the run bookkeeping.
-    pub const TRAINING_DEFAULT: [MetricColumn; 9] = [
-        MetricColumn::Npus,
-        MetricColumn::CollectiveTimePs,
-        MetricColumn::ForwardPs,
-        MetricColumn::BackwardPs,
-        MetricColumn::WgCommPs,
-        MetricColumn::IgCommPs,
-        MetricColumn::EfficiencyVsIdeal,
-        MetricColumn::SynthesisSeconds,
-        MetricColumn::Cache,
-    ];
-
-    /// The CSV header (and `[report] columns`) name.
-    pub fn name(self) -> &'static str {
-        match self {
-            MetricColumn::Npus => "npus",
-            MetricColumn::CollectiveTimePs => "collective_time_ps",
-            MetricColumn::CollectiveTimeUs => "collective_time_us",
-            MetricColumn::BandwidthGbps => "bandwidth_gbps",
-            MetricColumn::EfficiencyVsIdeal => "efficiency_vs_ideal",
-            MetricColumn::PercentOfIdeal => "percent_of_ideal",
-            MetricColumn::Transfers => "transfers",
-            MetricColumn::SynthesisSeconds => "synthesis_seconds",
-            MetricColumn::Cache => "cache",
-            MetricColumn::NormalizedTime => "normalized_time",
-            MetricColumn::AvgUtilization => "avg_utilization",
-            MetricColumn::MaxLinkBytes => "max_link_bytes",
-            MetricColumn::IdleLinks => "idle_links",
-            MetricColumn::Imbalance => "imbalance",
-            MetricColumn::ForwardPs => "forward_ps",
-            MetricColumn::BackwardPs => "backward_ps",
-            MetricColumn::WgCommPs => "wg_comm_ps",
-            MetricColumn::IgCommPs => "ig_comm_ps",
-            MetricColumn::ComputePs => "compute_ps",
-            MetricColumn::CommPs => "comm_ps",
-        }
-    }
-
-    /// Parses a `[report] columns` entry.
-    ///
-    /// # Errors
-    /// Returns a message listing the known column names.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        Self::ALL
-            .into_iter()
-            .find(|c| c.name() == s)
-            .ok_or_else(|| {
-                format!(
-                    "unknown report column '{s}' (expected one of: {})",
-                    Self::ALL.map(MetricColumn::name).join(", ")
-                )
-            })
-    }
-
-    /// Whether this column is derived from the congestion-aware
-    /// simulator's per-link report (and therefore needs `run.simulate`).
-    pub fn needs_simulation(self) -> bool {
-        matches!(
-            self,
-            MetricColumn::AvgUtilization
-                | MetricColumn::MaxLinkBytes
-                | MetricColumn::IdleLinks
-                | MetricColumn::Imbalance
-        )
-    }
-
-    /// Whether this column carries a training-breakdown value (and
-    /// therefore needs a `[workload]` section).
-    pub fn needs_workload(self) -> bool {
-        matches!(
-            self,
-            MetricColumn::ForwardPs
-                | MetricColumn::BackwardPs
-                | MetricColumn::WgCommPs
-                | MetricColumn::IgCommPs
-                | MetricColumn::ComputePs
-                | MetricColumn::CommPs
-        )
-    }
-
-    /// Whether this column only makes sense for bandwidth points (and is
-    /// therefore rejected under `[workload]` — a training iteration has
-    /// no single collective payload to rate).
-    pub fn bandwidth_only(self) -> bool {
-        matches!(self, MetricColumn::BandwidthGbps) || self.needs_simulation()
-    }
-}
-
-/// A grid axis usable as a `[report] group_by` key.
-///
-/// Groups are formed by the tuple of the listed axes' values; the `algo`
-/// axis is deliberately not a key — normalization compares algorithms
-/// *within* a group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GroupKey {
-    /// The topology spec string.
-    Topology,
-    /// The link axis value.
-    Link,
-    /// The collective pattern name.
-    Collective,
-    /// The size label.
-    Size,
-    /// The chunking factor.
-    Chunks,
-    /// The RNG seed.
-    Seed,
-    /// The best-of-N attempt count.
-    Attempts,
-    /// The failure-injection axis value.
-    WithoutLinks,
-    /// The workload model (training scenarios).
-    Model,
-    /// The low-cost-link-prioritization setting.
-    PreferCheapLinks,
-}
-
-impl GroupKey {
-    /// Every key, in the grid's axis nesting order. This is the default
-    /// `group_by`: each group then holds exactly the algorithm variants
-    /// of one sweep configuration.
-    pub const ALL: [GroupKey; 10] = [
-        GroupKey::Topology,
-        GroupKey::Model,
-        GroupKey::Link,
-        GroupKey::Collective,
-        GroupKey::Size,
-        GroupKey::Chunks,
-        GroupKey::Seed,
-        GroupKey::Attempts,
-        GroupKey::PreferCheapLinks,
-        GroupKey::WithoutLinks,
-    ];
-
-    /// The `[report] group_by` (and `[sweep]`) name of this axis.
-    pub fn name(self) -> &'static str {
-        match self {
-            GroupKey::Topology => "topology",
-            GroupKey::Link => "link",
-            GroupKey::Collective => "collective",
-            GroupKey::Size => "size",
-            GroupKey::Chunks => "chunks",
-            GroupKey::Seed => "seed",
-            GroupKey::Attempts => "attempts",
-            GroupKey::WithoutLinks => "without_links",
-            GroupKey::Model => "model",
-            GroupKey::PreferCheapLinks => "prefer_cheap_links",
-        }
-    }
-
-    /// Parses a `[report] group_by` entry.
-    ///
-    /// # Errors
-    /// Returns a message listing the valid axis names.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        Self::ALL
-            .into_iter()
-            .find(|k| k.name() == s)
-            .ok_or_else(|| {
-                format!(
-                    "unknown group_by axis '{s}' (expected one of: {})",
-                    Self::ALL.map(GroupKey::name).join(", ")
-                )
-            })
-    }
-}
-
 /// Result shaping declared in the `[report]` table.
 ///
 /// ```toml
@@ -743,17 +458,18 @@ impl GroupKey {
 /// normalize_over = "tacos"
 /// group_by = ["topology"]
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ReportSettings {
-    /// Metric columns of the output CSV, in order; `None` keeps the
-    /// default layout ([`MetricColumn::DEFAULT`]).
-    pub columns: Option<Vec<MetricColumn>>,
+    /// Metric columns of the output CSV (rows of `axis::COLUMNS`), in
+    /// order; `None` keeps the evaluation kind's default layout.
+    pub columns: Option<Vec<&'static Column>>,
     /// Algorithm name whose collective time is the per-group 1.0 baseline
     /// of the `normalized_time` column. Must be one of `sweep.algo`.
     pub normalize_over: Option<String>,
     /// Axes whose value tuples form the normalization groups. Defaults to
-    /// every non-algo axis, so each group is one sweep configuration.
-    pub group_by: Vec<GroupKey>,
+    /// every non-algo axis, so each group holds exactly the algorithm
+    /// variants of one sweep configuration.
+    pub group_by: Vec<&'static Axis>,
 }
 
 impl Default for ReportSettings {
@@ -761,116 +477,27 @@ impl Default for ReportSettings {
         ReportSettings {
             columns: None,
             normalize_over: None,
-            group_by: GroupKey::ALL.to_vec(),
+            group_by: axis::listed(Place::GroupBy),
         }
     }
 }
 
 impl ReportSettings {
-    /// The metric columns a bandwidth run's output carries (see
-    /// [`ReportSettings::metric_columns_for`]).
-    pub fn metric_columns(&self) -> Vec<MetricColumn> {
-        self.metric_columns_for(false)
-    }
-
     /// The metric columns the output actually carries: the selected list,
-    /// or the evaluation kind's default layout ([`MetricColumn::DEFAULT`]
-    /// for bandwidth points, [`MetricColumn::TRAINING_DEFAULT`] under
-    /// `[workload]`), with `normalized_time` appended when normalization
-    /// is configured but the column was not listed explicitly.
-    pub fn metric_columns_for(&self, training: bool) -> Vec<MetricColumn> {
-        let mut cols = self.columns.clone().unwrap_or_else(|| {
-            if training {
-                MetricColumn::TRAINING_DEFAULT.to_vec()
-            } else {
-                MetricColumn::DEFAULT.to_vec()
-            }
-        });
-        if self.normalize_over.is_some() && !cols.contains(&MetricColumn::NormalizedTime) {
-            cols.push(MetricColumn::NormalizedTime);
+    /// or the evaluation kind's default layout (bandwidth points, or the
+    /// iteration breakdown under `[workload]`), with `normalized_time`
+    /// appended when normalization is configured but the column was not
+    /// listed explicitly.
+    pub fn metric_columns_for(&self, training: bool) -> Vec<&'static Column> {
+        let mut cols = self
+            .columns
+            .clone()
+            .unwrap_or_else(|| Column::default_layout(training));
+        let normalized = |c: &&Column| matches!(c.source, Source::Normalized);
+        if self.normalize_over.is_some() && !cols.iter().any(normalized) {
+            cols.extend(axis::COLUMNS.iter().filter(normalized));
         }
         cols
-    }
-}
-
-/// One `[[exclude]]` rule: a grid point whose axis values match **all**
-/// the rule's constraints is removed from the expansion. Each constraint
-/// is a scalar or list of values of that axis (a list matches any of its
-/// entries).
-///
-/// ```toml
-/// [[exclude]]
-/// # The TACCL ILP is intractable at 128 NPUs (Table V prints "-").
-/// topology = "rfs:2x4x16"
-/// algo = "taccl"
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ExcludeRule {
-    /// Topology spec strings to match (empty = any).
-    pub topology: Vec<String>,
-    /// Collective names to match (empty = any).
-    pub collective: Vec<String>,
-    /// Size labels to match (empty = any).
-    pub size: Vec<String>,
-    /// Algorithm names to match (empty = any).
-    pub algo: Vec<String>,
-    /// Chunking factors to match (empty = any).
-    pub chunks: Vec<usize>,
-    /// Seeds to match (empty = any).
-    pub seed: Vec<u64>,
-    /// Attempt counts to match (empty = any).
-    pub attempts: Vec<usize>,
-    /// Failure-axis labels (see [`WithoutLinks::label`]) to match
-    /// (empty = any).
-    pub without_links: Vec<String>,
-    /// Workload-model tokens to match (empty = any; training scenarios
-    /// only — this is what pins each model to its paper topology scale).
-    pub model: Vec<String>,
-    /// Prefer-cheap-links settings to match (empty = any).
-    pub prefer_cheap_links: Vec<bool>,
-}
-
-/// The axis values of one candidate grid point, as matched by
-/// [`ExcludeRule`]s during expansion.
-#[derive(Debug, Clone, Copy)]
-pub struct AxisValues<'a> {
-    /// Topology spec string.
-    pub topology: &'a str,
-    /// Collective pattern name.
-    pub collective: &'a str,
-    /// Size label as written in the scenario file.
-    pub size: &'a str,
-    /// Algorithm name.
-    pub algo: &'a str,
-    /// Chunking factor.
-    pub chunks: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Best-of-N attempt count.
-    pub attempts: usize,
-    /// Failure-axis label.
-    pub without_links: &'a str,
-    /// Workload-model token (empty string for bandwidth points).
-    pub model: &'a str,
-    /// Low-cost-link-prioritization setting.
-    pub prefer_cheap_links: bool,
-}
-
-impl ExcludeRule {
-    /// Whether every non-empty constraint matches the given axis values.
-    pub fn matches(&self, v: AxisValues<'_>) -> bool {
-        let hit = |values: &[String], x: &str| values.is_empty() || values.iter().any(|s| s == x);
-        hit(&self.topology, v.topology)
-            && hit(&self.collective, v.collective)
-            && hit(&self.size, v.size)
-            && hit(&self.algo, v.algo)
-            && hit(&self.without_links, v.without_links)
-            && hit(&self.model, v.model)
-            && (self.chunks.is_empty() || self.chunks.contains(&v.chunks))
-            && (self.seed.is_empty() || self.seed.contains(&v.seed))
-            && (self.attempts.is_empty() || self.attempts.contains(&v.attempts))
-            && (self.prefer_cheap_links.is_empty()
-                || self.prefer_cheap_links.contains(&v.prefer_cheap_links))
     }
 }
 
@@ -923,15 +550,6 @@ impl Evaluation {
     pub fn is_training(&self) -> bool {
         matches!(self, Evaluation::Training(_))
     }
-
-    /// The workload-model axis as grid values: `[None]` for bandwidth
-    /// scenarios, the configured models for training ones.
-    pub fn model_axis(&self) -> Vec<Option<String>> {
-        match self {
-            Evaluation::Bandwidth => vec![None],
-            Evaluation::Training(w) => w.models.iter().cloned().map(Some).collect(),
-        }
-    }
 }
 
 /// The `[workload]` table: end-to-end training evaluation settings.
@@ -973,8 +591,18 @@ pub struct ScenarioSpec {
     pub report: ReportSettings,
     /// Time-resolved output (`[timeline]`); `None` emits none.
     pub timeline: Option<TimelineSettings>,
-    /// Grid-point exclusion rules (`[[exclude]]`).
-    pub excludes: Vec<ExcludeRule>,
+    /// Grid-point exclusion rules (`[[exclude]]`): a grid point whose
+    /// axis values satisfy **all** of a rule's constraints is removed
+    /// from the expansion. Each constraint is a scalar or list of values
+    /// of one axis (a list matches any of its entries).
+    ///
+    /// ```toml
+    /// [[exclude]]
+    /// # The TACCL ILP is intractable at 128 NPUs (Table V prints "-").
+    /// topology = "rfs:2x4x16"
+    /// algo = "taccl"
+    /// ```
+    pub excludes: Vec<Vec<Constraint>>,
     /// Builder-described topologies, by name.
     pub custom_topologies: BTreeMap<String, CustomTopology>,
     /// The reduced grid declared in `[quick]`, fully parsed and
@@ -1062,13 +690,8 @@ impl ScenarioSpec {
                 // Training points take their collective shape from the
                 // model, so a collective/size axis would be dead weight
                 // the outputs misleadingly report.
-                for key in ["collective", "size"] {
-                    if sweep_table.contains_key(key) {
-                        return Err(ScenarioError::spec(format!(
-                            "sweep.{key} has no effect under [workload] (gradient \
-                             collectives come from the model); remove it"
-                        )));
-                    }
+                for axis in AXES.iter().filter(|a| sweep_table.contains_key(a.name)) {
+                    axis.reject_under_workload(&axis.path())?;
                 }
                 Evaluation::Training(parse_workload(t)?)
             }
@@ -1386,26 +1009,10 @@ fn parse_sweep(
     t: &Table,
     customs: &BTreeMap<String, CustomTopology>,
 ) -> Result<SweepAxes, ScenarioError> {
-    reject_unknown_keys(
-        t,
-        "[sweep]",
-        &[
-            "topology",
-            "collective",
-            "size",
-            "chunks",
-            "algo",
-            "seed",
-            "attempts",
-            "link",
-            "without_links",
-            "synth",
-        ],
-    )?;
+    reject_unknown_keys(t, "[sweep]", &axis::keys(Place::Sweep, &["synth"]))?;
     // `[sweep] synth.*` is the synthesizer-config spelling of the grid:
-    // `synth.attempts` / `synth.seed` / `synth.chunks` name the same axes
-    // as the matching top-level keys (declaring both is ambiguous and
-    // rejected), and `synth.prefer_cheap_links` is its own axis.
+    // an axis both tables accept is the same axis under either spelling
+    // (declaring both is ambiguous and rejected).
     let synth = match t.get("synth") {
         None => None,
         Some(v) => {
@@ -1415,133 +1022,64 @@ fn parse_sweep(
                     v.type_name()
                 ))
             })?;
-            reject_unknown_keys(
-                st,
-                "[sweep] synth",
-                &["attempts", "seed", "chunks", "prefer_cheap_links"],
-            )?;
-            for key in ["attempts", "seed", "chunks"] {
-                if st.contains_key(key) && t.contains_key(key) {
-                    return Err(ScenarioError::spec(format!(
-                        "sweep.{key} and sweep.synth.{key} name the same axis; \
-                         declare one of them"
-                    )));
-                }
-            }
+            reject_unknown_keys(st, "[sweep] synth", &axis::keys(Place::Synth, &[]))?;
             Some(st)
         }
     };
-    // Reads an integer axis from wherever it was spelled.
-    let synth_or_top = |key: &str| -> &Table {
-        match synth {
-            Some(st) if st.contains_key(key) => st,
-            _ => t,
-        }
-    };
-    let topology = string_axis(t, "topology", &[])?;
-    if topology.is_empty() {
-        return Err(ScenarioError::spec(
-            "sweep.topology must list at least one topology",
-        ));
-    }
-    let collective = string_axis(t, "collective", &["all-reduce"])?;
-    let size = string_axis(t, "size", &["64MB"])?;
-    let algo = string_axis(t, "algo", &["tacos"])?;
-    let chunks = int_axis(synth_or_top("chunks"), "chunks", &[1])?;
-    let seed = int_axis(synth_or_top("seed"), "seed", &[42])?;
-    let attempts = int_axis(synth_or_top("attempts"), "attempts", &[1])?;
-    let prefer_cheap_links = match synth {
-        None => vec![true],
-        Some(st) => bool_axis(st, "prefer_cheap_links", &[true])?,
-    };
-    let link = link_axis(t)?;
-    let without_links = match axis_values(t, "without_links")? {
-        None => vec![WithoutLinks::Count(0)],
-        Some(values) => dedupe(
-            values
-                .into_iter()
-                .map(WithoutLinks::parse_value)
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
-    };
-    // Labels identify failure values in CSV rows, point labels, group_by,
-    // and [[exclude]] matching; a count and a single-id explicit list
-    // spelling the same label (1 vs "1") would alias distinct points.
-    for (i, w) in without_links.iter().enumerate() {
-        if let Some(other) = without_links[..i].iter().find(|o| o.label() == w.label()) {
+    let mut axes = SweepAxes::default();
+    for axis in AXES
+        .iter()
+        .filter(|a| a.at(Place::Sweep) || a.at(Place::Synth))
+    {
+        let key = axis.name;
+        let in_synth = synth.filter(|st| axis.at(Place::Synth) && st.contains_key(key));
+        if in_synth.is_some() && axis.at(Place::Sweep) && t.contains_key(key) {
             return Err(ScenarioError::spec(format!(
-                "sweep.without_links values {other:?} and {w:?} share the \
-                 label '{w}' (a victim count and an explicit link list are \
+                "sweep.{key} and sweep.synth.{key} name the same axis; \
+                 declare one of them"
+            )));
+        }
+        let path = format!("sweep.{key}");
+        match in_synth.unwrap_or(t).get(key) {
+            Some(v) => (axis.load)(&mut axes, v, &path)?,
+            None => (axis.default)(&mut axes),
+        }
+        let labels = (axis.labels)(&axes, &Evaluation::Bandwidth);
+        if labels.is_empty() {
+            return Err(ScenarioError::spec(format!(
+                "{path} must list at least one {key}"
+            )));
+        }
+        // Labels identify values in CSV rows, point labels, group_by and
+        // [[exclude]] matching; two values spelling the same label (a
+        // victim count 1 and the explicit link list "1") would alias
+        // distinct points.
+        let mut seen = labels.iter().enumerate();
+        if let Some((_, label)) = seen.find(|(i, label)| labels[..*i].contains(label)) {
+            return Err(ScenarioError::spec(format!(
+                "{path} has two values that share the label '{label}' (they are \
                  indistinguishable in outputs); drop one"
             )));
         }
     }
-
-    let axes = SweepAxes {
-        topology,
-        collective,
-        size,
-        chunks: dedupe(chunks.iter().map(|&v| v as usize).collect()),
-        algo,
-        seed: dedupe(seed.iter().map(|&v| v as u64).collect()),
-        attempts: dedupe(attempts.iter().map(|&v| v as usize).collect()),
-        link,
-        without_links,
-        prefer_cheap_links,
-    };
-
-    // Validate every axis value eagerly.
-    let probe = LinkAxis::default_paper().to_spec();
     for topo in &axes.topology {
-        if let Some(name) = topo.strip_prefix("custom:") {
-            if !customs.contains_key(name) {
-                return Err(ScenarioError::spec(format!(
-                    "sweep.topology references unknown custom topology '{name}'"
-                )));
-            }
-            // Custom topologies carry their own per-link specs; sweeping
-            // the link axis over them would produce identical points whose
-            // reported link parameters are fiction.
-            if axes.link.len() > 1 {
-                return Err(ScenarioError::spec(format!(
-                    "sweep.link has {} values but '{topo}' ignores the link axis \
-                     (its links are defined in [[topologies]]); split it into a \
-                     separate scenario or use a single link value",
-                    axes.link.len()
-                )));
-            }
-        } else {
-            parse_topology(topo, probe)
-                .map_err(|e| ScenarioError::spec(format!("sweep.topology '{topo}': {e}")))?;
-        }
-    }
-    for c in &axes.collective {
-        // Root indices are range-checked per-topology at run time; here
-        // validate against the largest representable root.
-        parse_pattern(c, usize::MAX)
-            .map_err(|e| ScenarioError::spec(format!("sweep.collective '{c}': {e}")))?;
-    }
-    for s in &axes.size {
-        parse_size(s).map_err(|e| ScenarioError::spec(format!("sweep.size '{s}': {e}")))?;
-    }
-    for a in &axes.algo {
-        Mechanism::parse(a, &SynthesizerConfig::default())
-            .map_err(|e| ScenarioError::spec(format!("sweep.algo '{a}': {e}")))?;
-    }
-    for &k in &axes.chunks {
-        if k == 0 {
-            return Err(ScenarioError::spec("sweep.chunks values must be >= 1"));
-        }
-    }
-    for &a in &axes.attempts {
-        if a == 0 {
-            return Err(ScenarioError::spec("sweep.attempts values must be >= 1"));
-        }
-    }
-    for l in &axes.link {
-        if l.alpha_us < 0.0 || l.bandwidth_gbps <= 0.0 {
+        let Some(name) = topo.strip_prefix("custom:") else {
+            continue;
+        };
+        if !customs.contains_key(name) {
             return Err(ScenarioError::spec(format!(
-                "sweep.link {l}: alpha must be >= 0 and bandwidth > 0"
+                "sweep.topology references unknown custom topology '{name}'"
+            )));
+        }
+        // Custom topologies carry their own per-link specs; sweeping
+        // the link axis over them would produce identical points whose
+        // reported link parameters are fiction.
+        if axes.link.len() > 1 {
+            return Err(ScenarioError::spec(format!(
+                "sweep.link has {} values but '{topo}' ignores the link axis \
+                 (its links are defined in [[topologies]]); split it into a \
+                 separate scenario or use a single link value",
+                axes.link.len()
             )));
         }
     }
@@ -1600,77 +1138,81 @@ fn parse_run(t: &Table) -> Result<RunSettings, ScenarioError> {
 
 fn parse_report(t: &Table) -> Result<ReportSettings, ScenarioError> {
     reject_unknown_keys(t, "[report]", &["columns", "normalize_over", "group_by"])?;
-    let mut report = ReportSettings::default();
-    if let Some(v) = t.get("columns") {
-        let items = v
-            .as_array()
-            .ok_or_else(|| ScenarioError::spec("report.columns must be a list of column names"))?;
-        if items.is_empty() {
-            return Err(ScenarioError::spec(
-                "report.columns must not be an empty list (omit it for the default layout)",
-            ));
-        }
-        let mut cols = Vec::with_capacity(items.len());
-        for item in items {
-            let name = item.as_str().ok_or_else(|| {
-                ScenarioError::spec(format!(
-                    "report.columns entries must be strings, found {}",
-                    item.type_name()
-                ))
-            })?;
-            let col = MetricColumn::parse(name).map_err(ScenarioError::spec)?;
-            if cols.contains(&col) {
-                return Err(ScenarioError::spec(format!(
-                    "report.columns lists '{name}' twice"
-                )));
-            }
-            cols.push(col);
-        }
-        report.columns = Some(cols);
+    let group_by = |name: &str| {
+        let axis = axis::named(name).filter(|a| a.at(Place::GroupBy));
+        axis.ok_or_else(|| {
+            format!(
+                "unknown group_by axis '{name}' (expected one of: {})",
+                axis::keys(Place::GroupBy, &[]).join(", ")
+            )
+        })
+    };
+    let omitted = "to group by every non-algo axis";
+    Ok(ReportSettings {
+        columns: report_names(
+            t,
+            "columns",
+            "column",
+            "for the default layout",
+            Column::parse,
+        )?,
+        normalize_over: opt_str(t, "report", "normalize_over")?.map(str::to_string),
+        group_by: report_names(t, "group_by", "axis", omitted, group_by)?
+            .unwrap_or_else(|| axis::listed(Place::GroupBy)),
+    })
+}
+
+/// Reads `report.<key>` if present: a non-empty list of distinct names,
+/// each resolved through `parse`.
+fn report_names<T>(
+    t: &Table,
+    key: &str,
+    what: &str,
+    omitted: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<Option<Vec<T>>, ScenarioError> {
+    let Some(v) = t.get(key) else {
+        return Ok(None);
+    };
+    let items = v.as_array().ok_or_else(|| {
+        ScenarioError::spec(format!("report.{key} must be a list of {what} names"))
+    })?;
+    if items.is_empty() {
+        return Err(ScenarioError::spec(format!(
+            "report.{key} must not be an empty list (omit it {omitted})"
+        )));
     }
-    report.normalize_over = opt_str(t, "report", "normalize_over")?.map(str::to_string);
-    if let Some(v) = t.get("group_by") {
-        let items = v
-            .as_array()
-            .ok_or_else(|| ScenarioError::spec("report.group_by must be a list of axis names"))?;
-        if items.is_empty() {
-            return Err(ScenarioError::spec(
-                "report.group_by must not be an empty list (omit it to group by every non-algo axis)",
-            ));
+    let mut parsed = Vec::with_capacity(items.len());
+    for item in items {
+        let name = item.as_str().ok_or_else(|| {
+            ScenarioError::spec(format!(
+                "report.{key} entries must be strings, found {}",
+                item.type_name()
+            ))
+        })?;
+        if items[..parsed.len()].contains(item) {
+            return Err(ScenarioError::spec(format!(
+                "report.{key} lists '{name}' twice"
+            )));
         }
-        let mut keys = Vec::with_capacity(items.len());
-        for item in items {
-            let name = item.as_str().ok_or_else(|| {
-                ScenarioError::spec(format!(
-                    "report.group_by entries must be strings, found {}",
-                    item.type_name()
-                ))
-            })?;
-            let key = GroupKey::parse(name).map_err(ScenarioError::spec)?;
-            if keys.contains(&key) {
-                return Err(ScenarioError::spec(format!(
-                    "report.group_by lists '{name}' twice"
-                )));
-            }
-            keys.push(key);
-        }
-        report.group_by = keys;
+        parsed.push(parse(name).map_err(ScenarioError::spec)?);
     }
-    Ok(report)
+    Ok(Some(parsed))
 }
 
 /// Parses the `[workload]` table into training-evaluation settings.
 fn parse_workload(t: &Table) -> Result<WorkloadSettings, ScenarioError> {
     reject_unknown_keys(t, "[workload]", &["model", "parallelism", "overlap"])?;
-    let models = string_axis(t, "model", &[])?;
+    let valid = |m: &String| Workload::parse(m).map(drop);
+    let models: Vec<String> = match t.get("model") {
+        Some(v) => declare(v, "workload.model", "[workload] needs a model", valid)?,
+        None => Vec::new(),
+    };
     if models.is_empty() {
         return Err(ScenarioError::spec(format!(
             "[workload] must list at least one model (one of: {})",
             Workload::TOKENS.join(", ")
         )));
-    }
-    for m in &models {
-        Workload::parse(m).map_err(|e| ScenarioError::spec(format!("workload.model: {e}")))?;
     }
     let parallelism = match opt_str(t, "workload", "parallelism")? {
         None => Parallelism::default(),
@@ -1711,24 +1253,7 @@ fn merge_quick(
     quick: &Table,
     evaluation: &Evaluation,
 ) -> Result<Table, ScenarioError> {
-    reject_unknown_keys(
-        quick,
-        "[quick]",
-        &[
-            "topology",
-            "collective",
-            "size",
-            "chunks",
-            "algo",
-            "seed",
-            "attempts",
-            "link",
-            "without_links",
-            "synth",
-            "model",
-            "exclude",
-        ],
-    )?;
+    reject_unknown_keys(quick, "[quick]", &axis::quick_keys())?;
     let mut merged = doc.clone();
     merged.remove("quick");
     if quick.contains_key("exclude") {
@@ -1743,17 +1268,17 @@ fn merge_quick(
             "exclude" => {
                 merged.insert("exclude".into(), value.clone());
             }
-            "model" => {
+            _ if axis::named(key).is_some_and(Axis::in_workload) => {
                 if !evaluation.is_training() {
-                    return Err(ScenarioError::spec(
-                        "quick.model needs a [workload] section to override",
-                    ));
+                    return Err(ScenarioError::spec(format!(
+                        "quick.{key} needs a [workload] section to override"
+                    )));
                 }
                 let mut workload = match merged.remove("workload") {
                     Some(Value::Table(t)) => t,
                     _ => Table::new(),
                 };
-                workload.insert("model".into(), value.clone());
+                workload.insert(key.clone(), value.clone());
                 merged.insert("workload".into(), Value::Table(workload));
             }
             "synth" => {
@@ -1804,36 +1329,30 @@ fn validate_report(
             )));
         }
     }
+    // Under [workload], bandwidth-only comes before the simulator check:
+    // simulate is forced off there, and "set run.simulate = true" would
+    // be advice the [workload] validation then rejects.
+    let training = evaluation.is_training();
     for col in report.columns.iter().flatten() {
-        if *col == MetricColumn::NormalizedTime && report.normalize_over.is_none() {
-            return Err(ScenarioError::spec(
-                "report column 'normalized_time' requires report.normalize_over",
-            ));
-        }
-        // Under [workload] the bandwidth-only check must come first:
-        // simulate is forced off there, and "set run.simulate = true"
-        // would be advice the [workload] validation then rejects.
-        if col.bandwidth_only() && evaluation.is_training() {
-            return Err(ScenarioError::spec(format!(
-                "report column '{}' only exists for bandwidth points; it is \
-                 unavailable under [workload]",
-                col.name()
-            )));
-        }
-        if col.needs_simulation() && !run.simulate {
-            return Err(ScenarioError::spec(format!(
-                "report column '{}' is derived from the simulator's per-link \
-                 report; set run.simulate = true",
-                col.name()
-            )));
-        }
-        if col.needs_workload() && !evaluation.is_training() {
-            return Err(ScenarioError::spec(format!(
-                "report column '{}' is a training-breakdown value; it needs a \
-                 [workload] section",
-                col.name()
-            )));
-        }
+        let problem = match col.source {
+            Source::Normalized if report.normalize_over.is_none() => {
+                "requires report.normalize_over"
+            }
+            Source::Payload(_) | Source::Links(_) if training => {
+                "only exists for bandwidth points; it is unavailable under [workload]"
+            }
+            Source::Links(_) if !run.simulate => {
+                "is derived from the simulator's per-link report; set run.simulate = true"
+            }
+            Source::Breakdown(_) if !training => {
+                "is a training-breakdown value; it needs a [workload] section"
+            }
+            _ => continue,
+        };
+        return Err(ScenarioError::spec(format!(
+            "report column '{}' {problem}",
+            col.name
+        )));
     }
     Ok(())
 }
@@ -1868,156 +1387,38 @@ fn parse_exclude(
     t: &Table,
     sweep: &SweepAxes,
     evaluation: &Evaluation,
-) -> Result<ExcludeRule, ScenarioError> {
-    reject_unknown_keys(
-        t,
-        "[[exclude]]",
-        &[
-            "topology",
-            "collective",
-            "size",
-            "algo",
-            "chunks",
-            "seed",
-            "attempts",
-            "without_links",
-            "model",
-            "prefer_cheap_links",
-        ],
-    )?;
+) -> Result<Vec<Constraint>, ScenarioError> {
+    reject_unknown_keys(t, "[[exclude]]", &axis::keys(Place::Exclude, &[]))?;
     if t.is_empty() {
         return Err(ScenarioError::spec(
             "an [[exclude]] rule must constrain at least one axis \
              (an empty rule would exclude every point)",
         ));
     }
-    // Every listed value must exist on its sweep axis: a typo would
-    // otherwise silently exclude nothing and run unintended points.
-    let strings = |key: &str, axis: &[String]| -> Result<Vec<String>, ScenarioError> {
-        let mut out = Vec::new();
-        for v in exclude_values(t, key)? {
-            let s = v
-                .as_str()
-                .ok_or_else(|| {
-                    ScenarioError::spec(format!("exclude.{key} entries must be strings"))
-                })?
-                .to_string();
-            if !axis.contains(&s) {
-                return Err(ScenarioError::spec(format!(
-                    "exclude.{key} value '{s}' is not in sweep.{key}"
-                )));
-            }
-            out.push(s);
-        }
-        Ok(out)
-    };
-    let ints = |key: &str, axis: &[i64]| -> Result<Vec<i64>, ScenarioError> {
-        let mut out = Vec::new();
-        for v in exclude_values(t, key)? {
-            let n = v.as_int().ok_or_else(|| {
-                ScenarioError::spec(format!("exclude.{key} entries must be integers"))
-            })?;
-            if !axis.contains(&n) {
-                return Err(ScenarioError::spec(format!(
-                    "exclude.{key} value {n} is not in sweep.{key}"
-                )));
-            }
-            out.push(n);
-        }
-        Ok(out)
-    };
-    // `without_links` constraints are written like the axis (ints for
-    // counts, strings for explicit lists) and matched by label.
-    let axis_labels: Vec<String> = sweep
-        .without_links
-        .iter()
-        .map(WithoutLinks::label)
-        .collect();
-    let mut without_links = Vec::new();
-    for v in exclude_values(t, "without_links")? {
-        let label = WithoutLinks::parse_value(v)
-            .map_err(|e| ScenarioError::spec(format!("exclude.without_links: {e}")))?
-            .label();
-        if !axis_labels.contains(&label) {
-            return Err(ScenarioError::spec(format!(
-                "exclude.without_links value '{label}' is not in sweep.without_links"
-            )));
-        }
-        without_links.push(label);
-    }
-    // `model` constraints are validated against the workload axis.
-    let mut model = Vec::new();
-    for v in exclude_values(t, "model")? {
-        let s = v
-            .as_str()
-            .ok_or_else(|| ScenarioError::spec("exclude.model entries must be strings"))?
-            .to_string();
-        let known = match evaluation {
-            Evaluation::Training(w) => w.models.contains(&s),
-            Evaluation::Bandwidth => false,
+    let mut rule = Vec::new();
+    for axis in axis::listed(Place::Exclude) {
+        let key = axis.name;
+        let Some(v) = t.get(key) else {
+            continue;
         };
-        if !known {
+        let path = format!("exclude.{key}");
+        if evaluation.is_training() {
+            axis.reject_under_workload(&path)?;
+        }
+        // Every listed value must exist on its axis: a typo would
+        // otherwise silently exclude nothing and run unintended points.
+        // Values are written like the axis and matched by label.
+        let on_axis = (axis.labels)(sweep, evaluation);
+        let labels = (axis.exclude)(v, &path)?;
+        if let Some(missing) = labels.iter().find(|l| !on_axis.contains(l)) {
             return Err(ScenarioError::spec(format!(
-                "exclude.model value '{s}' is not in workload.model"
+                "{path} value '{missing}' is not in {}",
+                axis.path()
             )));
         }
-        model.push(s);
+        rule.push(Constraint { axis: key, labels });
     }
-    let mut prefer_cheap_links = Vec::new();
-    for v in exclude_values(t, "prefer_cheap_links")? {
-        let b = v.as_bool().ok_or_else(|| {
-            ScenarioError::spec("exclude.prefer_cheap_links entries must be booleans")
-        })?;
-        if !sweep.prefer_cheap_links.contains(&b) {
-            return Err(ScenarioError::spec(format!(
-                "exclude.prefer_cheap_links value {b} is not in \
-                 sweep.synth.prefer_cheap_links"
-            )));
-        }
-        prefer_cheap_links.push(b);
-    }
-    Ok(ExcludeRule {
-        topology: strings("topology", &sweep.topology)?,
-        collective: strings("collective", &sweep.collective)?,
-        size: strings("size", &sweep.size)?,
-        algo: strings("algo", &sweep.algo)?,
-        without_links,
-        model,
-        prefer_cheap_links,
-        chunks: ints(
-            "chunks",
-            &sweep.chunks.iter().map(|&v| v as i64).collect::<Vec<_>>(),
-        )?
-        .into_iter()
-        .map(|v| v as usize)
-        .collect(),
-        seed: ints(
-            "seed",
-            &sweep.seed.iter().map(|&v| v as i64).collect::<Vec<_>>(),
-        )?
-        .into_iter()
-        .map(|v| v as u64)
-        .collect(),
-        attempts: ints(
-            "attempts",
-            &sweep.attempts.iter().map(|&v| v as i64).collect::<Vec<_>>(),
-        )?
-        .into_iter()
-        .map(|v| v as usize)
-        .collect(),
-    })
-}
-
-/// Reads an `[[exclude]]` constraint that may be a scalar or a list.
-fn exclude_values<'a>(t: &'a Table, key: &str) -> Result<Vec<&'a Value>, ScenarioError> {
-    match t.get(key) {
-        None => Ok(Vec::new()),
-        Some(Value::Array(items)) if items.is_empty() => Err(ScenarioError::spec(format!(
-            "exclude.{key} must not be an empty list (omit it to match any {key})"
-        ))),
-        Some(Value::Array(items)) => Ok(items.iter().collect()),
-        Some(scalar) => Ok(vec![scalar]),
-    }
+    Ok(rule)
 }
 
 /// Rejects misspelled or unsupported keys: in a declarative engine a
@@ -2033,117 +1434,6 @@ fn reject_unknown_keys(t: &Table, context: &str, allowed: &[&str]) -> Result<(),
         }
     }
     Ok(())
-}
-
-/// Reads an axis that may be a scalar or an array of scalars. An
-/// explicitly empty array is rejected: it would silently expand to a
-/// zero-point grid (omit the key to get the default instead).
-fn axis_values<'a>(t: &'a Table, key: &str) -> Result<Option<Vec<&'a Value>>, ScenarioError> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(Value::Array(items)) if items.is_empty() => Err(ScenarioError::spec(format!(
-            "sweep.{key} must not be an empty list (omit it for the default)"
-        ))),
-        Some(Value::Array(items)) => Ok(Some(items.iter().collect())),
-        Some(scalar) => Ok(Some(vec![scalar])),
-    }
-}
-
-fn string_axis(t: &Table, key: &str, default: &[&str]) -> Result<Vec<String>, ScenarioError> {
-    match axis_values(t, key)? {
-        None => Ok(default.iter().map(|s| s.to_string()).collect()),
-        Some(values) => {
-            let mut out = Vec::with_capacity(values.len());
-            for v in values {
-                out.push(
-                    v.as_str()
-                        .ok_or_else(|| {
-                            ScenarioError::spec(format!(
-                                "sweep.{key} entries must be strings, found {}",
-                                v.type_name()
-                            ))
-                        })?
-                        .to_string(),
-                );
-            }
-            Ok(dedupe(out))
-        }
-    }
-}
-
-fn int_axis(t: &Table, key: &str, default: &[i64]) -> Result<Vec<i64>, ScenarioError> {
-    match axis_values(t, key)? {
-        None => Ok(default.to_vec()),
-        Some(values) => {
-            let mut out = Vec::with_capacity(values.len());
-            for v in values {
-                let n = v.as_int().ok_or_else(|| {
-                    ScenarioError::spec(format!(
-                        "sweep.{key} entries must be integers, found {}",
-                        v.type_name()
-                    ))
-                })?;
-                if n < 0 {
-                    return Err(ScenarioError::spec(format!(
-                        "sweep.{key} entries must be >= 0"
-                    )));
-                }
-                out.push(n);
-            }
-            Ok(dedupe(out))
-        }
-    }
-}
-
-fn bool_axis(t: &Table, key: &str, default: &[bool]) -> Result<Vec<bool>, ScenarioError> {
-    match axis_values(t, key)? {
-        None => Ok(default.to_vec()),
-        Some(values) => {
-            let mut out = Vec::with_capacity(values.len());
-            for v in values {
-                out.push(v.as_bool().ok_or_else(|| {
-                    ScenarioError::spec(format!(
-                        "sweep.{key} entries must be booleans, found {}",
-                        v.type_name()
-                    ))
-                })?);
-            }
-            Ok(dedupe(out))
-        }
-    }
-}
-
-fn link_axis(t: &Table) -> Result<Vec<LinkAxis>, ScenarioError> {
-    match axis_values(t, "link")? {
-        None => Ok(vec![LinkAxis::default_paper()]),
-        Some(values) => {
-            let mut out = Vec::with_capacity(values.len());
-            for v in values {
-                let lt = v.as_table().ok_or_else(|| {
-                    ScenarioError::spec(format!(
-                        "sweep.link entries must be tables like {{ alpha_us = 0.5, bandwidth_gbps = 50.0 }}, found {}",
-                        v.type_name()
-                    ))
-                })?;
-                out.push(LinkAxis {
-                    alpha_us: expect_float(lt, "link", "alpha_us")?,
-                    bandwidth_gbps: expect_float(lt, "link", "bandwidth_gbps")?,
-                });
-            }
-            Ok(dedupe(out))
-        }
-    }
-}
-
-/// Order-preserving dedupe, so axis cardinalities are exact.
-fn dedupe<T: PartialEq>(values: Vec<T>) -> Vec<T> {
-    let mut out: Vec<T> = Vec::with_capacity(values.len());
-    for v in values {
-        if !out.contains(&v) {
-            out.push(v);
-        }
-    }
-    out
 }
 
 fn expect_table<'a>(doc: &'a Table, key: &str) -> Result<&'a Table, ScenarioError> {
@@ -2182,7 +1472,7 @@ fn expect_int(t: &Table, table: &str, key: &str) -> Result<i64, ScenarioError> {
     Ok(v)
 }
 
-fn expect_float(t: &Table, table: &str, key: &str) -> Result<f64, ScenarioError> {
+pub(crate) fn expect_float(t: &Table, table: &str, key: &str) -> Result<f64, ScenarioError> {
     let v = t
         .get(key)
         .ok_or_else(|| ScenarioError::spec(format!("missing {table}.{key}")))?
@@ -2580,6 +1870,16 @@ cache = false
                 "[workload]\nmodel = [\"gnmt\"]\n[report]\ncolumns = [\"bandwidth_gbps\"]\n",
                 "only exists for bandwidth points",
             ),
+            // Training points carry no size or collective value, so a
+            // rule constraining one could never fire.
+            (
+                "[workload]\nmodel = [\"gnmt\"]\n[[exclude]]\ntopology = \"torus:2x2x2\"\nsize = \"64MB\"\n",
+                "exclude.size has no effect under [workload]",
+            ),
+            (
+                "[workload]\nmodel = [\"gnmt\"]\n[[exclude]]\ncollective = \"all-reduce\"\n",
+                "exclude.collective has no effect under [workload]",
+            ),
         ] {
             let err = ScenarioSpec::from_toml_str(&format!("{base}{snippet}"))
                 .unwrap_err()
@@ -2638,7 +1938,8 @@ algo = "ring"
         assert_eq!(quick.sweep.attempts, [1, 8]);
         assert_eq!(quick.sweep.algo, spec.sweep.algo);
         assert_eq!(quick.excludes.len(), 1);
-        assert_eq!(quick.excludes[0].topology, ["ring:8"]);
+        assert_eq!(quick.excludes[0][0].axis, "topology");
+        assert_eq!(quick.excludes[0][0].labels, ["ring:8"]);
         assert!(quick.quick.is_none(), "quick does not nest");
         assert_eq!(spec.quick_spec().sweep.topology, ["ring:8"]);
         // Without [quick], quick_spec is the spec itself.
@@ -2782,11 +2083,13 @@ topology = ["ring:4"]
 
     #[test]
     fn metric_column_vocabulary_round_trips() {
-        for col in MetricColumn::ALL {
-            assert_eq!(MetricColumn::parse(col.name()).unwrap(), col);
+        for col in &axis::COLUMNS {
+            assert!(std::ptr::eq(Column::parse(col.name).unwrap(), col));
         }
-        for col in MetricColumn::DEFAULT {
-            assert!(MetricColumn::ALL.contains(&col));
+        for training in [false, true] {
+            for col in Column::default_layout(training) {
+                assert!(axis::COLUMNS.iter().any(|c| std::ptr::eq(c, col)));
+            }
         }
     }
 
@@ -2809,15 +2112,22 @@ group_by = ["topology", "size"]
         )
         .unwrap();
         assert_eq!(spec.report.normalize_over.as_deref(), Some("tacos"));
-        assert_eq!(spec.report.group_by, [GroupKey::Topology, GroupKey::Size]);
+        let group_by: Vec<&str> = spec.report.group_by.iter().map(|a| a.name).collect();
+        assert_eq!(group_by, ["topology", "size"]);
         // normalized_time is appended because normalization is on.
+        let columns: Vec<&str> = spec
+            .report
+            .metric_columns_for(false)
+            .iter()
+            .map(|c| c.name)
+            .collect();
         assert_eq!(
-            spec.report.metric_columns(),
+            columns,
             [
-                MetricColumn::BandwidthGbps,
-                MetricColumn::PercentOfIdeal,
-                MetricColumn::MaxLinkBytes,
-                MetricColumn::NormalizedTime,
+                "bandwidth_gbps",
+                "percent_of_ideal",
+                "max_link_bytes",
+                "normalized_time",
             ]
         );
     }
@@ -3154,22 +2464,22 @@ algo = ["taccl"]
         )
         .unwrap();
         assert_eq!(spec.excludes.len(), 1);
-        let rule = &spec.excludes[0];
-        let values = |topology, algo| AxisValues {
-            topology,
-            collective: "all-reduce",
-            size: "64MB",
-            algo,
-            chunks: 1,
-            seed: 42,
-            attempts: 1,
-            without_links: "0",
-            model: "",
-            prefer_cheap_links: true,
-        };
-        assert!(rule.matches(values("mesh:2x2", "taccl")));
-        assert!(!rule.matches(values("ring:4", "taccl")));
-        assert!(!rule.matches(values("mesh:2x2", "tacos")));
+        // Both constraints must hold: of the 2x2 grid only mesh:2x2/taccl
+        // goes.
+        let survivors: Vec<(String, String)> = crate::grid::expand(&spec)
+            .unwrap()
+            .into_iter()
+            .map(|p| (p.topology, p.algo))
+            .collect();
+        let pair = |topology: &str, algo: &str| (topology.to_string(), algo.to_string());
+        assert_eq!(
+            survivors,
+            [
+                pair("ring:4", "tacos"),
+                pair("ring:4", "taccl"),
+                pair("mesh:2x2", "tacos"),
+            ]
+        );
 
         for (snippet, needle) in [
             (
