@@ -19,7 +19,7 @@ use tacos_collective::export;
 use tacos_core::{SynthesisScratch, SynthesizerConfig};
 use tacos_report::{fmt_f64, Json, Table};
 use tacos_scenario::{parse_pattern, parse_size, parse_topology};
-use tacos_topology::{Bandwidth, LinkSpec, Time};
+use tacos_topology::LinkAxis;
 use tacos_workload::{bandwidth_gbps, Evaluator, Mechanism};
 
 /// How a failure should be presented: usage mistakes get the USAGE block
@@ -72,7 +72,6 @@ usage: tacos [options]
        tacos scenario expand <file.toml>
        tacos scenario diff <a.csv> <b.csv> [--tol 1e-9]
        tacos serve [serve options]
-       tacos serve-bench <file.toml> [serve-bench options]
        tacos chaos [--seed N] [--quiet]
        tacos lint [--fix-baseline] [--stats] [--root DIR]
 
@@ -136,15 +135,6 @@ serve options (synthesis-as-a-service daemon; line-delimited JSON over TCP):
                      panic@3,stall@1:50,conn-delay@2:20,checkpoint-abort@2
   --quiet            suppress daemon notices on stderr
 
-serve-bench options (replay a scenario grid against a running daemon):
-  --addr HOST:PORT   daemon address (default 127.0.0.1:7440)
-  --concurrency LIST comma-separated client counts to measure (default 1,4)
-  --deadline-ms MS   attach a deadline to every replayed request
-  --retries N        retry budget per rejected request, with exponential
-                     backoff honoring the daemon's retry_after_ms (default 3)
-  --output FILE      write the JSON report to FILE (default BENCH_PR9.json)
-  --quick            replay the scenario's [quick] reduced grid
-
 chaos options (drive a private daemon through a seeded fault plan and
 assert its operational invariants; nonzero exit on any violation):
   --seed N           fault-plan seed (default 1); each seed is deterministic
@@ -161,7 +151,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
         Some("scenario") => return scenario_command(&args[1..]),
         Some("serve") => return serve_command(&args[1..]),
-        Some("serve-bench") => return serve_bench_command(&args[1..]),
         Some("chaos") => return chaos_command(&args[1..]),
         Some("lint") => return lint_command(&args[1..]),
         _ => {}
@@ -522,114 +511,6 @@ fn serve_command(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `tacos serve-bench <file.toml> [options]`: replay a scenario grid as
-/// a request trace against a running daemon and record throughput and
-/// latency percentiles per concurrency level.
-fn serve_bench_command(args: &[String]) -> Result<(), CliError> {
-    let file = args
-        .first()
-        .ok_or_else(|| CliError::Usage("serve-bench needs a <file.toml> trace scenario".into()))?;
-    let mut config = tacos_serve::BenchConfig::default();
-    let mut output = String::from("BENCH_PR9.json");
-    let mut quick = false;
-    let mut it = args.iter().skip(1);
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--addr" => config.addr = take("--addr")?,
-            "--concurrency" => {
-                config.concurrency = take("--concurrency")?
-                    .split(',')
-                    .map(|v| v.trim().parse::<usize>())
-                    .collect::<Result<Vec<usize>, _>>()
-                    .map_err(|e| format!("bad --concurrency: {e}"))?;
-                if config.concurrency.is_empty() {
-                    return Err(CliError::Usage(
-                        "--concurrency needs at least one level".into(),
-                    ));
-                }
-            }
-            "--deadline-ms" => {
-                config.deadline_ms = Some(
-                    take("--deadline-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline-ms: {e}"))?,
-                )
-            }
-            "--retries" => {
-                config.retries = take("--retries")?
-                    .parse()
-                    .map_err(|e| format!("bad --retries: {e}"))?
-            }
-            "--output" => output = take("--output")?,
-            "--quick" => quick = true,
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown serve-bench argument '{other}'"
-                )))
-            }
-        }
-    }
-
-    let full_spec = tacos_scenario::ScenarioSpec::from_file(file)
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-    if quick && full_spec.quick.is_none() {
-        return Err(CliError::Runtime(format!(
-            "--quick: scenario '{}' declares no [quick] section",
-            full_spec.name
-        )));
-    }
-    let spec = if quick {
-        full_spec.quick_spec().clone()
-    } else {
-        full_spec
-    };
-
-    let report = tacos_serve::bench::run(&spec, &config).map_err(CliError::Runtime)?;
-    let mut t = Table::new(vec![
-        "clients", "requests", "wall s", "req/s", "p50 ms", "p95 ms", "p99 ms", "ok", "hits",
-        "dedup", "rejected", "retried", "deadline", "errors", "warm", "evicted",
-    ]);
-    if let Some(levels) = report.get("levels").and_then(Json::as_array) {
-        for level in levels {
-            let cell = |key: &str| -> String {
-                match level.get(key) {
-                    Some(Json::Num(v)) => fmt_f64(*v),
-                    Some(Json::Uint(v)) => v.to_string(),
-                    _ => "-".into(),
-                }
-            };
-            t.row(vec![
-                cell("concurrency"),
-                cell("requests"),
-                cell("wall_s"),
-                cell("throughput_rps"),
-                cell("p50_ms"),
-                cell("p95_ms"),
-                cell("p99_ms"),
-                cell("ok"),
-                cell("cache_hits"),
-                cell("deduplicated"),
-                cell("rejected"),
-                cell("retried"),
-                cell("deadline"),
-                cell("errors"),
-                cell("warm_entries"),
-                cell("evictions"),
-            ]);
-        }
-    }
-    print!("{t}");
-    std::fs::write(&output, format!("{report}\n"))
-        .map_err(|e| CliError::Runtime(format!("failed to write {output}: {e}")))?;
-    eprintln!("(bench report written to {output})");
-    Ok(())
-}
-
 /// `tacos chaos [--seed N] [--quiet]`: spawn a private daemon under a
 /// seeded fault plan and assert the operational invariants — exactly one
 /// typed response per request, worker panics contained to their flight,
@@ -753,8 +634,7 @@ fn run_single_point(args: &[String]) -> Result<(), String> {
     let mut pattern = String::from("all-reduce");
     let mut size = String::from("64MB");
     let mut algo = String::from("tacos");
-    let mut alpha_us = 0.5f64;
-    let mut bw_gbps = 50.0f64;
+    let mut link = LinkAxis::default_paper();
     let mut seed = 42u64;
     let mut attempts = 1usize;
     let mut chunks = 1usize;
@@ -776,12 +656,12 @@ fn run_single_point(args: &[String]) -> Result<(), String> {
             "--size" => size = take("--size")?,
             "--algo" => algo = take("--algo")?,
             "--alpha" => {
-                alpha_us = take("--alpha")?
+                link.alpha_us = take("--alpha")?
                     .parse()
                     .map_err(|e| format!("bad --alpha: {e}"))?
             }
             "--bw" => {
-                bw_gbps = take("--bw")?
+                link.bandwidth_gbps = take("--bw")?
                     .parse()
                     .map_err(|e| format!("bad --bw: {e}"))?
             }
@@ -812,18 +692,25 @@ fn run_single_point(args: &[String]) -> Result<(), String> {
         }
     }
 
-    let spec = LinkSpec::new(Time::from_micros(alpha_us), Bandwidth::gbps(bw_gbps));
-    let topo = parse_topology(&topology_spec, spec)?;
+    link.check().map_err(|e| format!("link {link}: {e}"))?;
+    // The daemon's wording for the same request fields.
+    if chunks == 0 {
+        return Err("'chunks' must be >= 1".into());
+    }
+    if attempts == 0 {
+        return Err("'attempts' must be >= 1".into());
+    }
+    let topo = parse_topology(&topology_spec, link.to_spec())?;
     let size = parse_size(&size)?;
     let pattern = parse_pattern(&pattern, topo.num_npus())?;
     let config = SynthesizerConfig::default()
         .with_seed(seed)
-        .with_attempts(attempts.max(1));
+        .with_attempts(attempts);
     let mechanism = Mechanism::parse(&algo, &config)?;
 
     let evaluator = Evaluator::new(&topo, &mechanism).with_simulation(simulate);
     let evaluated = evaluator
-        .evaluate(pattern, size, chunks.max(1), &mut SynthesisScratch::new())
+        .evaluate(pattern, size, chunks, &mut SynthesisScratch::new())
         .map_err(|e| e.cause())?;
     let collective_time = evaluated.time;
     let bandwidth_gbps = bandwidth_gbps(size, collective_time);

@@ -107,3 +107,30 @@ fn algo_tacos_overrides_layer_on_the_seed_and_attempts_flags() {
         assert_eq!(uint(&variant, key), uint(&both, key), "{key}");
     }
 }
+
+#[test]
+fn values_the_daemon_and_the_scenario_loader_reject_are_usage_errors() {
+    let link = "alpha must be finite and >= 0 and bandwidth finite and > 0";
+    for (flag, value, want) in [
+        ("--alpha", "-1", link),
+        ("--alpha", "inf", link),
+        ("--bw", "0", link),
+        ("--bw", "nan", link),
+        ("--chunks", "0", "'chunks' must be >= 1"),
+        ("--attempts", "0", "'attempts' must be >= 1"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tacos"))
+            .args(["--topology", "ring:4", flag, value, "--json"])
+            .output()
+            .expect("tacos binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} {value} printed a result");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error: ") && first.ends_with(want),
+            "{flag} {value}: {first}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
+}

@@ -7,9 +7,9 @@
 //!
 //! Synthesizes All-Gather on a side×side 2D mesh twice with one warm
 //! scratch (the first call pays the allocations) and prints the second
-//! call's duration — the number the BENCH protocol's per-point
-//! `synthesis_seconds` approximates. Useful for splitting "how much of a
-//! scenario point is matching vs recording" without a system profiler.
+//! call's duration. Useful for splitting "how much of a scenario point
+//! is matching vs recording" without a system profiler; a diagnostic,
+//! not a perf record (that is `bench/`).
 
 use tacos_collective::{Collective, CollectivePattern};
 use tacos_core::{SynthesisScratch, Synthesizer, SynthesizerConfig};

@@ -145,7 +145,7 @@ fn check_banned(rel: &str, dep: &str, line: u32, out: &mut Vec<Finding>) {
 pub fn analyze_rename(f: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
     if !f.rel.contains("/src/") {
-        return out; // tests and benches may shuffle files freely
+        return out; // tests may shuffle files freely
     }
     let toks = &f.toks;
     for i in 0..toks.len() {
@@ -407,7 +407,7 @@ mod tests {
                 (7, "set_nonblocking".to_string())
             ]
         );
-        // Clients, the chaos harness and the bench may sleep and poll.
+        // Clients and the chaos harness may sleep and poll.
         let client = SourceFile::parse("crates/serve/src/client.rs".into(), src.into());
         assert!(analyze_sleep_polls(&client).is_empty());
     }

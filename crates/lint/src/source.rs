@@ -323,7 +323,7 @@ pub fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Loads the workspace's scan set relative to `root`: `src/`, `tests/`,
-/// `examples/`, and every `crates/**/{src,tests,benches}` tree.
+/// `examples/`, and every `crates/**/{src,tests}` tree.
 pub fn load_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
     let mut paths = Vec::new();
     for top in ["src", "tests", "examples"] {
@@ -337,7 +337,7 @@ pub fn load_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
         let mut crate_dirs = Vec::new();
         collect_crate_dirs(&crates, &mut crate_dirs);
         for dir in crate_dirs {
-            for sub in ["src", "tests", "benches"] {
+            for sub in ["src", "tests"] {
                 let d = dir.join(sub);
                 if d.is_dir() {
                     collect_rs_files(&d, &mut paths);

@@ -344,12 +344,7 @@ pub static AXES: [Axis; 11] = [
                 p.uses_link_axis().then_some(Num(p.link.bandwidth_gbps))
             }),
         ],
-        ..row!(link, |l: &LinkAxis| match l {
-            l if l.alpha_us < 0.0 || l.bandwidth_gbps <= 0.0 => {
-                Err("alpha must be >= 0 and bandwidth > 0".to_string())
-            }
-            _ => Ok(()),
-        })
+        ..row!(link, LinkAxis::check)
     },
     Axis {
         rank: [3, 2, 0, 2, 4],

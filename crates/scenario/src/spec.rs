@@ -72,41 +72,8 @@ pub use crate::axis::SweepAxes;
 /// (`tacos-topology`, `tacos-collective`, `tacos-workload`); re-exported
 /// so scenario files, the CLI and the parity tests keep one import path.
 pub use tacos_collective::parse_pattern;
-pub use tacos_topology::{parse_size, parse_topology};
+pub use tacos_topology::{parse_size, parse_topology, LinkAxis};
 pub use tacos_workload::parse_baseline;
-
-/// One value of the `link` sweep axis: an α–β spec in display units.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkAxis {
-    /// Link latency α in microseconds.
-    pub alpha_us: f64,
-    /// Link bandwidth 1/β in GB/s.
-    pub bandwidth_gbps: f64,
-}
-
-impl LinkAxis {
-    /// The paper's default link: α = 0.5 µs, 50 GB/s.
-    pub fn default_paper() -> Self {
-        LinkAxis {
-            alpha_us: 0.5,
-            bandwidth_gbps: 50.0,
-        }
-    }
-
-    /// Converts to a [`LinkSpec`].
-    pub fn to_spec(self) -> LinkSpec {
-        LinkSpec::new(
-            Time::from_micros(self.alpha_us),
-            Bandwidth::gbps(self.bandwidth_gbps),
-        )
-    }
-}
-
-impl fmt::Display for LinkAxis {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "a{}us-{}GBps", self.alpha_us, self.bandwidth_gbps)
-    }
-}
 
 /// One value of the `without_links` failure-injection axis: how many (or
 /// exactly which) links to kill before running the point.
@@ -979,11 +946,8 @@ fn parse_custom_topology(t: &Table) -> Result<CustomTopology, ScenarioError> {
             alpha_us: expect_float(lt, "links", "alpha_us")?,
             bandwidth_gbps: expect_float(lt, "links", "bandwidth_gbps")?,
         };
-        if link.alpha_us < 0.0 || link.bandwidth_gbps <= 0.0 {
-            return Err(ScenarioError::spec(format!(
-                "topology '{name}': link {link}: alpha must be >= 0 and bandwidth > 0"
-            )));
-        }
+        link.check()
+            .map_err(|e| ScenarioError::spec(format!("topology '{name}': link {link}: {e}")))?;
         links.push(CustomLink {
             src: endpoint("src")?,
             dst: endpoint("dst")?,

@@ -48,8 +48,8 @@ fn every_scenario_expands_to_the_pinned_point_list() {
     let actual = render();
     assert_eq!(
         fixture.matches("\n# ").count() + 1,
-        23 + 6,
-        "23 scenario files, 6 of them with a [quick] grid"
+        21 + 4,
+        "21 scenario files, 4 of them with a [quick] grid"
     );
     for (line, (want, got)) in fixture.lines().zip(actual.lines()).enumerate() {
         assert_eq!(want, got, "fixture line {}", line + 1);

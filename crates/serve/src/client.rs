@@ -1,7 +1,7 @@
 //! A minimal blocking client for the line-delimited protocol, used by
-//! `tacos serve-bench`, `tacos chaos`, the integration tests, and
-//! scripting — including [`Client::call_with_retry`], which honors the
-//! daemon's `retry_after_ms` backpressure hints.
+//! `tacos chaos`, the integration tests, and scripting — including
+//! [`Client::call_with_retry`], which honors the daemon's
+//! `retry_after_ms` backpressure hints.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -86,7 +86,7 @@ impl Client {
     }
 
     /// Connects, retrying for up to `wait` while the daemon is still
-    /// binding its socket (CI starts the daemon in the background).
+    /// binding its socket.
     pub fn connect_with_retry(addr: &str, wait: Duration) -> io::Result<Client> {
         let deadline = std::time::Instant::now() + wait;
         loop {

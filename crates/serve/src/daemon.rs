@@ -947,6 +947,9 @@ fn handle_line(state: &Arc<ServerState>, line: &str) -> Response {
 }
 
 fn synthesize(state: &Arc<ServerState>, req: &Request) -> Result<Response, String> {
+    req.link
+        .check()
+        .map_err(|e| format!("link {}: {e}", req.link))?;
     let topo = parse_topology(&req.topology, req.link.to_spec())?;
     let pattern = parse_pattern(&req.collective, topo.num_npus())?;
     let size = parse_size(&req.size)?;

@@ -15,23 +15,18 @@
 //! checkpoints. The wire protocol is one JSON object per line in each
 //! direction; see [`protocol`].
 //!
-//! [`bench`] implements `tacos serve-bench`, which replays a scenario
-//! grid as a request trace at several concurrency levels and reports
-//! throughput, latency percentiles, and per-outcome-class counts.
 //! [`faults`] and [`chaos`] implement `tacos chaos`: deterministic
 //! fault injection plus the harness that asserts the daemon's
 //! operational invariants under it.
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod chaos;
 mod client;
 mod daemon;
 pub mod faults;
 pub mod protocol;
 
-pub use bench::{build_trace, BenchConfig};
 pub use chaos::{ChaosOptions, ChaosReport};
 pub use client::{Client, RetriedCall, RetryPolicy};
 pub use daemon::{Daemon, DaemonConfig, DaemonHandle, SNAPSHOT_FILE};

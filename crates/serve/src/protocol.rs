@@ -11,7 +11,7 @@
 //! metrics a scenario CSV row would.
 
 use tacos_report::Json;
-use tacos_scenario::LinkAxis;
+use tacos_topology::LinkAxis;
 
 /// What a request asks the daemon to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,6 +1,7 @@
 //! Overload-protection behaviors not covered by the chaos harness: the
-//! per-connection idle timeout (with its slowloris-resistant clock) and
-//! the request-line cap at a small, fast-to-test size.
+//! per-connection idle timeout (with its slowloris-resistant clock), the
+//! request-line cap at a small, fast-to-test size, and request values
+//! that must fail typed instead of panicking the connection thread.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -139,5 +140,42 @@ fn a_small_line_cap_rejects_with_a_typed_error() {
     let mut fresh = Client::connect(daemon.addr()).unwrap();
     let pong = fresh.call("{\"op\":\"ping\",\"id\":1}").unwrap();
     assert_eq!(pong.get("status").and_then(Json::as_str), Some("pong"));
+    daemon.stop().unwrap();
+}
+
+#[test]
+fn unusable_link_parameters_get_a_typed_error_and_keep_the_connection() {
+    let daemon = spawn(DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::default()
+    });
+
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    for (id, link) in [
+        (1, r#""alpha_us":-1"#),
+        (2, r#""link_gbps":0"#),
+        (3, r#""link_gbps":1e400"#),
+    ] {
+        let response = client
+            .call(&format!(r#"{{"id":{id},"topology":"ring:4",{link}}}"#))
+            .unwrap_or_else(|e| panic!("{link}: no typed response: {e}"));
+        assert_eq!(
+            response.get("status").and_then(Json::as_str),
+            Some("error"),
+            "{link}: {response}"
+        );
+        assert_eq!(response.get("id").and_then(Json::as_u64), Some(id));
+        let reason = response
+            .get("reason")
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        assert!(reason.contains("alpha must be"), "{link}: {reason}");
+    }
+
+    // The same connection survives all three.
+    let pong = client.call(r#"{"op":"ping","id":4}"#).unwrap();
+    assert_eq!(pong.get("status").and_then(Json::as_str), Some("pong"));
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("errors").and_then(Json::as_u64), Some(3));
     daemon.stop().unwrap();
 }

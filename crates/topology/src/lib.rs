@@ -50,7 +50,7 @@ pub use error::TopologyError;
 pub use hierarchical::{multi_dim, Dim, DimKind};
 pub use ids::{LinkId, NpuId};
 pub use link::{Link, LinkSpec};
-pub use parse::parse_topology;
+pub use parse::{parse_topology, LinkAxis};
 pub use routing::RoutingTable;
 pub use topology::{Topology, TopologyBuilder};
 pub use units::{parse_size, Bandwidth, ByteSize, Time};

@@ -2,7 +2,65 @@
 //! `dgx1`, ...) shared by the CLI's `--topology` flag, scenario files'
 //! `sweep.topology` axis and the serving protocol's `topology` field.
 
-use crate::{Bandwidth, LinkSpec, RingOrientation, Topology};
+use std::fmt;
+
+use crate::{Bandwidth, LinkSpec, RingOrientation, Time, Topology};
+
+/// An α–β link in display units, as requests spell it: a value of a
+/// scenario's `link` axis, a `[[topologies.links]]` entry, the serving
+/// protocol's `alpha_us` / `link_gbps` fields, the CLI's `--alpha` /
+/// `--bw`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkAxis {
+    /// Link latency α in microseconds.
+    pub alpha_us: f64,
+    /// Link bandwidth 1/β in GB/s.
+    pub bandwidth_gbps: f64,
+}
+
+impl LinkAxis {
+    /// The paper's default link: α = 0.5 µs, 50 GB/s.
+    pub fn default_paper() -> Self {
+        LinkAxis {
+            alpha_us: 0.5,
+            bandwidth_gbps: 50.0,
+        }
+    }
+
+    /// Whether the values describe a link; run on anything read from
+    /// outside the program before [`LinkAxis::to_spec`], which panics on
+    /// what this rejects.
+    ///
+    /// # Errors
+    /// Returns the reason (without naming the link) when either value is
+    /// not finite, α is negative, or the bandwidth is not positive.
+    pub fn check(&self) -> Result<(), String> {
+        let alpha_ok = self.alpha_us.is_finite() && self.alpha_us >= 0.0;
+        let bandwidth_ok = self.bandwidth_gbps.is_finite() && self.bandwidth_gbps > 0.0;
+        if alpha_ok && bandwidth_ok {
+            Ok(())
+        } else {
+            Err("alpha must be finite and >= 0 and bandwidth finite and > 0".to_string())
+        }
+    }
+
+    /// Converts to a [`LinkSpec`].
+    ///
+    /// # Panics
+    /// Panics on values [`LinkAxis::check`] rejects.
+    pub fn to_spec(self) -> LinkSpec {
+        LinkSpec::new(
+            Time::from_micros(self.alpha_us),
+            Bandwidth::gbps(self.bandwidth_gbps),
+        )
+    }
+}
+
+impl fmt::Display for LinkAxis {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "a{}us-{}GBps", self.alpha_us, self.bandwidth_gbps)
+    }
+}
 
 /// Parses a topology spec string (`mesh:3x3`, `ring:8`, `dgx1`, ...) into
 /// a [`Topology`] with homogeneous `link` costs.
@@ -191,10 +249,9 @@ fn ratios(s: &str) -> Result<Vec<f64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Time;
 
     fn paper_link() -> LinkSpec {
-        LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(50.0))
+        LinkAxis::default_paper().to_spec()
     }
 
     #[test]
@@ -213,6 +270,28 @@ mod tests {
         assert_eq!(parse_topology("dgx1", spec).unwrap().num_npus(), 8);
         assert!(parse_topology("blob:3", spec).is_err());
         assert!(parse_topology("mesh:3", spec).is_err());
+    }
+
+    #[test]
+    fn link_check_rejects_what_to_spec_would_panic_on() {
+        let link = |alpha_us, bandwidth_gbps| LinkAxis {
+            alpha_us,
+            bandwidth_gbps,
+        };
+        assert_eq!(LinkAxis::default_paper().check(), Ok(()));
+        assert_eq!(link(0.0, 1e-3).check(), Ok(()));
+        for bad in [
+            link(-1.0, 50.0),
+            link(f64::NAN, 50.0),
+            link(f64::INFINITY, 50.0),
+            link(0.5, 0.0),
+            link(0.5, -50.0),
+            link(0.5, f64::NAN),
+            link(0.5, f64::INFINITY),
+        ] {
+            let reason = bad.check().unwrap_err();
+            assert!(reason.contains("finite"), "{bad}: {reason}");
+        }
     }
 
     /// Distinct per-link bandwidths of a topology, sorted ascending.
