@@ -118,6 +118,18 @@ fn values_the_daemon_and_the_scenario_loader_reject_are_usage_errors() {
         ("--bw", "nan", link),
         ("--chunks", "0", "'chunks' must be >= 1"),
         ("--attempts", "0", "'attempts' must be >= 1"),
+        // 4·2^62 wraps to 0 chunks and 4·(2^62+1) to 4 where overflow
+        // checks are off (release); both are refused before they multiply.
+        (
+            "--chunks",
+            "4611686018427387904",
+            "chunks a collective can number",
+        ),
+        (
+            "--chunks",
+            "4611686018427387905",
+            "chunks a collective can number",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_tacos"))
             .args(["--topology", "ring:4", flag, value, "--json"])

@@ -60,12 +60,24 @@ impl Collective {
         }
         let num_chunks = match pattern {
             CollectivePattern::Broadcast { .. } | CollectivePattern::Reduce { .. } => {
-                chunks_per_npu
+                Some(chunks_per_npu)
             }
             // Personalized exchange: one shard per (source, destination).
-            CollectivePattern::AllToAll => num_npus * num_npus * chunks_per_npu,
-            _ => num_npus * chunks_per_npu,
+            CollectivePattern::AllToAll => num_npus
+                .checked_mul(num_npus)
+                .and_then(|pairs| pairs.checked_mul(chunks_per_npu)),
+            _ => num_npus.checked_mul(chunks_per_npu),
         };
+        // A chunking factor arrives from a request line, a flag or a
+        // scenario axis; a product that wraps (or outgrows `ChunkId`'s
+        // `u32`) must be an error here, not a collective whose ids
+        // collide.
+        let num_chunks = num_chunks.filter(|&n| u32::try_from(n).is_ok()).ok_or(
+            CollectiveError::TooManyChunks {
+                num_npus,
+                chunks_per_npu,
+            },
+        )?;
         if total_size.as_u64() == 0 {
             return Err(CollectiveError::SizeNotDivisible {
                 size: 0,
@@ -168,6 +180,8 @@ impl Collective {
     /// # Errors
     /// * [`CollectiveError::TooFewNpus`] for fewer than 2 participants.
     /// * [`CollectiveError::ZeroChunks`] if `k == 0`.
+    /// * [`CollectiveError::TooManyChunks`] if the chunk count does not
+    ///   fit a chunk id.
     /// * [`CollectiveError::RootOutOfRange`] for an invalid root.
     /// * [`CollectiveError::SizeNotDivisible`] for an empty payload.
     pub fn with_chunking(
@@ -469,6 +483,42 @@ mod tests {
             Collective::all_gather(4, ByteSize::ZERO),
             Err(CollectiveError::SizeNotDivisible { .. })
         ));
+    }
+
+    /// With overflow checks off (release) these products used to wrap:
+    /// 8·2^61 to 0 chunks (a division by zero), 8·(2^61+1) to 8 chunks
+    /// that 8·(2^61+1) chunk ids were then indexed into.
+    #[test]
+    fn a_chunk_count_that_overflows_is_an_error_not_a_wrap() {
+        let size = ByteSize::mb(1);
+        for (pattern, num_npus, k) in [
+            (CollectivePattern::AllGather, 8, 1usize << 61),
+            (CollectivePattern::AllReduce, 8, (1usize << 61) + 1),
+            (CollectivePattern::AllToAll, 1 << 16, 1usize << 32),
+            (CollectivePattern::AllToAll, 1 << 20, 1),
+            // Fits `usize`, not the `u32` of a chunk id.
+            (CollectivePattern::AllGather, 8, 1usize << 29),
+            (
+                CollectivePattern::Broadcast {
+                    root: NpuId::new(0),
+                },
+                4,
+                1usize << 32,
+            ),
+        ] {
+            assert_eq!(
+                Collective::with_chunking(pattern, num_npus, k, size),
+                Err(CollectiveError::TooManyChunks {
+                    num_npus,
+                    chunks_per_npu: k
+                }),
+                "{pattern:?} over {num_npus} NPUs, k = {k}"
+            );
+        }
+        // The largest count a chunk id can number is still a collective.
+        let k = (u32::MAX / 5) as usize;
+        let c = Collective::with_chunking(CollectivePattern::AllGather, 5, k, size).unwrap();
+        assert_eq!(c.num_chunks(), u32::MAX as usize);
     }
 
     #[test]

@@ -14,6 +14,14 @@ pub enum CollectiveError {
     },
     /// The chunking factor must be at least 1.
     ZeroChunks,
+    /// The chunking factor asks for more chunks than a [`crate::ChunkId`]
+    /// can number.
+    TooManyChunks {
+        /// Number of participating NPUs.
+        num_npus: usize,
+        /// The offending chunking factor.
+        chunks_per_npu: usize,
+    },
     /// A rooted collective referenced a root outside `0..num_npus`.
     RootOutOfRange {
         /// The offending root index.
@@ -39,6 +47,17 @@ impl fmt::Display for CollectiveError {
             }
             CollectiveError::ZeroChunks => {
                 write!(f, "chunking factor must be at least 1")
+            }
+            CollectiveError::TooManyChunks {
+                num_npus,
+                chunks_per_npu,
+            } => {
+                write!(
+                    f,
+                    "chunking factor {chunks_per_npu} over {num_npus} NPUs exceeds the {} chunks a \
+                     collective can number",
+                    u32::MAX
+                )
             }
             CollectiveError::RootOutOfRange { root, num_npus } => {
                 write!(f, "root {root} out of range for {num_npus} NPUs")
@@ -67,6 +86,12 @@ mod tests {
         assert!(CollectiveError::ZeroChunks
             .to_string()
             .contains("chunking factor"));
+        assert!(CollectiveError::TooManyChunks {
+            num_npus: 8,
+            chunks_per_npu: 1 << 61
+        }
+        .to_string()
+        .contains("chunking factor 2305843009213693952 over 8 NPUs"));
         assert!(CollectiveError::RootOutOfRange {
             root: 4,
             num_npus: 2

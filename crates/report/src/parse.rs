@@ -7,6 +7,7 @@
 //! decoder, plus the accessors ([`Json::get`], [`Json::as_str`], ...)
 //! protocol code needs to pick a parsed message apart.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use crate::output::Json;
@@ -16,7 +17,9 @@ impl Json {
     ///
     /// Integers that fit `u64` parse as [`Json::Uint`] (exact above
     /// 2^53, matching the encoder's split); everything else numeric as
-    /// [`Json::Num`]. Object keys deduplicate last-wins.
+    /// [`Json::Num`]. An object that names a key twice is an error:
+    /// whichever value won, a reader would be acting on half of what the
+    /// writer sent.
     ///
     /// # Errors
     /// Returns a readable message with the byte offset of the problem.
@@ -60,13 +63,14 @@ impl Json {
     }
 
     /// The value as `u64`: a [`Json::Uint`], or a [`Json::Num`] that is
-    /// a non-negative whole number.
+    /// a non-negative whole number below 2^64.
     pub fn as_u64(&self) -> Option<u64> {
+        // `u64::MAX as f64` rounds up to 2^64, which `as u64` would
+        // saturate back to `u64::MAX`: the bound is strict.
+        const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
         match self {
             Json::Uint(v) => Some(*v),
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
-                Some(*v as u64)
-            }
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < TWO_POW_64 => Some(*v as u64),
             _ => None,
         }
     }
@@ -319,12 +323,23 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let key_at = self.pos;
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            map.insert(key, value);
+            match map.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(value);
+                }
+                Entry::Occupied(first) => {
+                    return Err(format!(
+                        "duplicate field '{}' at byte {key_at}",
+                        first.key()
+                    ))
+                }
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -415,6 +430,38 @@ mod tests {
             let err = Json::parse(bad).unwrap_err();
             assert!(!err.is_empty(), "'{bad}' produced an empty error");
         }
+    }
+
+    #[test]
+    fn a_repeated_key_is_an_error_at_any_depth() {
+        for (bad, needle) in [
+            (r#"{"a":1,"a":2}"#, "duplicate field 'a' at byte 7"),
+            (r#"{"a":1,"a":1}"#, "duplicate field 'a'"),
+            (r#"{"x":[{"k":null,"k":null}]}"#, "duplicate field 'k'"),
+            (r#"{"a":1,"\u0061":2}"#, "duplicate field 'a'"),
+        ] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(err.contains(needle), "'{bad}' gave '{err}'");
+        }
+        // The same key in sibling objects is not a repeat.
+        assert!(Json::parse(r#"[{"a":1},{"a":2}]"#).is_ok());
+        assert!(Json::parse(r#"{"a":{"a":1}}"#).is_ok());
+    }
+
+    #[test]
+    fn as_u64_stops_below_two_to_the_64() {
+        // Integers past u64::MAX only parse as Num; 2^64 is the first.
+        let max = Json::parse("18446744073709551615").unwrap();
+        assert_eq!(max.as_u64(), Some(u64::MAX));
+        let over = Json::parse("18446744073709551616").unwrap();
+        assert_eq!(over, Json::Num(18_446_744_073_709_551_616.0));
+        assert_eq!(over.as_u64(), None);
+        assert_eq!(Json::parse("1e30").unwrap().as_u64(), None);
+        // The largest f64 below 2^64 is still a u64.
+        let below = Json::Num(18_446_744_073_709_549_568.0);
+        assert_eq!(below.as_u64(), Some(18_446_744_073_709_549_568));
+        assert_eq!(Json::Num(-0.0).as_u64(), Some(0));
+        assert_eq!(Json::Num(-1.0).as_u64(), None);
     }
 
     #[test]

@@ -1137,6 +1137,43 @@ cache = false
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// 8·2^61 wraps to 0 chunks and 8·(2^61+1) to 8 where overflow
+    /// checks are off (release); each is a FAILED row with the
+    /// collective's own one-line reason, and the rest of the grid runs.
+    #[test]
+    fn a_chunks_axis_value_that_overflows_fails_its_points_only() {
+        let spec = toml_spec(
+            r#"
+[scenario]
+name = "big_chunks"
+[sweep]
+topology = ["ring:8"]
+collective = ["all-reduce"]
+size = ["1MB"]
+algo = ["tacos", "ring"]
+chunks = [2305843009213693952, 2305843009213693953, 1]
+[run]
+cache = false
+"#,
+        );
+        let summary = run(&spec).unwrap();
+        assert_eq!(summary.records.len(), 6);
+        assert_eq!(summary.failed, 4);
+        for record in &summary.records {
+            match &record.result {
+                Ok(_) => assert_eq!(record.point.chunks, 1),
+                Err(e) => assert_eq!(
+                    *e,
+                    format!(
+                        "chunking factor {} over 8 NPUs exceeds the 4294967295 chunks a \
+                         collective can number",
+                        record.point.chunks
+                    )
+                ),
+            }
+        }
+    }
+
     #[test]
     fn failure_axis_degrades_the_topology_per_point() {
         let spec = toml_spec(

@@ -30,8 +30,10 @@
 //! 6. **Bounded residency under eviction** — a trace larger than
 //!    `--warm-max-entries` keeps the resident set at the cap (visible as
 //!    `warm_entries`/`evictions`/`resident_bytes` in `stats`), evicted
-//!    keys re-synthesize to byte-identical deterministic schedules, and
-//!    a checkpoint under eviction snapshots exactly the resident set.
+//!    keys re-synthesize to byte-identical deterministic schedules — a
+//!    remembered request shape (`resolve_hits`) saves resolving it, never
+//!    synthesizing it — and a checkpoint under eviction snapshots exactly
+//!    the resident set.
 
 use std::io::BufRead;
 use std::net::TcpStream;
@@ -570,6 +572,16 @@ fn eviction_phase(dir: &Path, checks: &mut Checks) -> Result<(), String> {
         (1..=3).contains(&resident)
             && stats.get("evictions").and_then(Json::as_u64).unwrap_or(0) > evictions,
         "re-serving the trace keeps residency bounded while evictions grow",
+        &stats,
+    )?;
+    // All eight shapes were remembered by then — which spared the
+    // daemon resolving them again, not synthesizing the evicted ones.
+    let count = |field| stats.get(field).and_then(Json::as_u64);
+    checks.ensure(
+        count("resolved_shapes") == Some(8)
+            && count("resolve_hits") == Some(8)
+            && count("resolve_hits") <= count("requests"),
+        "a remembered shape is looked up, never answered from, when its schedule is evicted",
         &stats,
     )?;
 

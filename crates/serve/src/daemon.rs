@@ -10,7 +10,9 @@
 //! * **connection threads** parse request lines through a bounded line
 //!   reader (oversized lines get a typed `error` and the connection is
 //!   closed — a client cannot make the daemon buffer unbounded input),
-//!   serve warm-cache hits inline, and otherwise wait on a
+//!   serve warm-cache hits inline — finding the key of a request shape
+//!   they have resolved before in a bounded table instead of rebuilding
+//!   the topology for it — and otherwise wait on a
 //!   [`Flight`](tacos_core::Flight) — one flight per cache key, so N
 //!   concurrent identical requests cost exactly one synthesis. Idle
 //!   connections past the timeout are closed with a typed `error`;
@@ -43,12 +45,13 @@
 //! [`crate::FaultPlan`] (the `--faults` flag) and asserted by
 //! `tacos chaos`.
 
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -62,7 +65,7 @@ use tacos_topology::{parse_size, parse_topology, ByteSize, Time, Topology};
 use tacos_workload::{bandwidth_gbps, Generation, Mechanism, Plan};
 
 use crate::faults::FaultPlan;
-use crate::protocol::{OkBody, Op, Request, Response, StatsBody};
+use crate::protocol::{OkBody, Op, Request, Response, Shape, StatsBody};
 
 /// File name of the warm-cache snapshot inside `--cache-dir`.
 pub const SNAPSHOT_FILE: &str = "warm.tacos-cache";
@@ -87,6 +90,12 @@ const REAP_FLOOR: usize = 32;
 /// request, so one large (but admissible) request doesn't pin its peak
 /// allocation for the life of the connection.
 const LINE_HIGH_WATER: usize = 16 * 1024;
+
+/// Most request shapes the daemon remembers the resolution of; the
+/// table is cleared when one more would not fit. A launcher fleet
+/// re-asks tens of shapes, so this only ever binds on a client cycling
+/// seeds or sizes — and caps what such a client can pin at about 2 MB.
+pub const MAX_RESOLVED_SHAPES: usize = 4096;
 
 /// Daemon configuration (the `tacos serve` flags).
 #[derive(Debug, Clone)]
@@ -172,10 +181,34 @@ struct Job {
     generation: Generation,
 }
 
+/// Everything `synthesize` derives from a request's [`Shape`] before it
+/// looks anything up — a pure function of the shape, so it is computed
+/// once per distinct shape and found by the shape afterwards. Holds no
+/// [`Topology`]: what a repeat request needs of the fabric is its NPU
+/// count and its fingerprint, which the key already contains.
+#[derive(Debug)]
+struct Resolved {
+    answer: Answer,
+    num_npus: u64,
+    size: ByteSize,
+    /// [`Mechanism::name`] of the parsed mechanism.
+    algorithm: &'static str,
+}
+
+/// Where a resolved shape's answer comes from.
+#[derive(Debug)]
+enum Answer {
+    /// A schedule, under this warm-cache (and single-flight) key.
+    Schedule(String),
+    /// The ideal bound: a closed form, so the time itself.
+    Ideal(Time),
+}
+
 #[derive(Debug, Default)]
 struct Counters {
     requests: AtomicU64,
     cache_hits: AtomicU64,
+    resolve_hits: AtomicU64,
     synthesized: AtomicU64,
     deduplicated: AtomicU64,
     rejected: AtomicU64,
@@ -204,6 +237,10 @@ impl Drop for AliveGuard<'_> {
 
 struct ServerState {
     warm: WarmCache,
+    /// Shapes whose requests have been answered `ok`, at most
+    /// [`MAX_RESOLVED_SHAPES`] of them. A leaf lock: never held while
+    /// another is taken.
+    resolved: RwLock<HashMap<Shape, Arc<Resolved>>>,
     inflight: InFlightRegistry<FlightOutcome>,
     counters: Counters,
     stop: AtomicBool,
@@ -335,6 +372,13 @@ impl ServerState {
 
     fn stats(&self) -> StatsBody {
         let c = &self.counters;
+        // Its own statement, so the guard is gone before the warm
+        // cache's shard locks are taken below.
+        let resolved_shapes = self
+            .resolved
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len() as u64;
         StatsBody {
             requests: c.requests.load(Ordering::Relaxed),
             cache_hits: c.cache_hits.load(Ordering::Relaxed),
@@ -348,7 +392,30 @@ impl ServerState {
             warm_entries: self.warm.len() as u64,
             evictions: self.warm.evictions(),
             resident_bytes: self.warm.resident_bytes(),
+            resolved_shapes,
+            resolve_hits: c.resolve_hits.load(Ordering::Relaxed),
         }
+    }
+
+    /// What `shape` resolved to the last time a request with it was
+    /// answered `ok`, if the table still has it.
+    fn recall(&self, shape: &Shape) -> Option<Arc<Resolved>> {
+        let table = self.resolved.read().unwrap_or_else(PoisonError::into_inner);
+        table.get(shape).cloned()
+    }
+
+    /// Remembers `shape`'s resolution. A full table is cleared rather
+    /// than trimmed: refilling costs each live shape one ordinary
+    /// resolution, which is cheaper to reason about than a second LRU.
+    fn remember(&self, shape: &Shape, resolved: Arc<Resolved>) {
+        let mut table = self
+            .resolved
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        if table.len() >= MAX_RESOLVED_SHAPES && !table.contains_key(shape) {
+            table.clear();
+        }
+        table.insert(shape.clone(), resolved);
     }
 }
 
@@ -473,6 +540,7 @@ impl Daemon {
 
         let state = Arc::new(ServerState {
             warm,
+            resolved: RwLock::new(HashMap::new()),
             inflight: InFlightRegistry::new(),
             counters: Counters::default(),
             stop: AtomicBool::new(false),
@@ -946,46 +1014,93 @@ fn handle_line(state: &Arc<ServerState>, line: &str) -> Response {
     }
 }
 
+/// Answers one synthesize request. A shape the table knows costs a hash
+/// and a lookup before the warm cache is asked; any other — and a known
+/// one whose warm entry has since been evicted — takes [`resolve_and_run`],
+/// and is remembered once that has answered `ok`.
 fn synthesize(state: &Arc<ServerState>, req: &Request) -> Result<Response, String> {
-    req.link
+    if let Some(resolved) = state.recall(&req.shape) {
+        state.counters.resolve_hits.fetch_add(1, Ordering::Relaxed);
+        match &resolved.answer {
+            Answer::Ideal(time) => return Ok(Response::Ok(req.id, ok_body(&resolved, *time))),
+            Answer::Schedule(key) => {
+                if let Some(entry) = state.warm.get(key) {
+                    return Ok(hit(state, req, &resolved, &entry));
+                }
+            }
+        }
+    }
+    let (response, resolved) = resolve_and_run(state, req)?;
+    if matches!(response, Response::Ok(..)) {
+        state.remember(&req.shape, resolved);
+    }
+    Ok(response)
+}
+
+/// A warm-cache hit's response (and its count).
+fn hit(state: &ServerState, req: &Request, resolved: &Resolved, entry: &WarmEntry) -> Response {
+    state.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+    Response::Ok(
+        req.id,
+        OkBody {
+            cache_hit: true,
+            ..entry_body(req, resolved, entry)
+        },
+    )
+}
+
+/// Resolves the request's shape from scratch — link, fabric, pattern,
+/// size, mechanism, plan, key — then serves it from the warm cache or a
+/// flight. Returns the resolution beside the response for the caller to
+/// remember; an unresolvable shape is the `Err`.
+fn resolve_and_run(
+    state: &Arc<ServerState>,
+    req: &Request,
+) -> Result<(Response, Arc<Resolved>), String> {
+    let shape = &req.shape;
+    shape
+        .link
         .check()
-        .map_err(|e| format!("link {}: {e}", req.link))?;
-    let topo = parse_topology(&req.topology, req.link.to_spec())?;
-    let pattern = parse_pattern(&req.collective, topo.num_npus())?;
-    let size = parse_size(&req.size)?;
+        .map_err(|e| format!("link {}: {e}", shape.link))?;
+    let topo = parse_topology(&shape.topology, shape.link.to_spec())?;
+    let pattern = parse_pattern(&shape.collective, topo.num_npus())?;
+    let size = parse_size(&shape.size)?;
 
     let mut config = SynthesizerConfig::default();
-    if let Some(seed) = req.seed {
+    if let Some(seed) = shape.seed {
         config = config.with_seed(seed);
     }
-    if let Some(attempts) = req.attempts {
+    if let Some(attempts) = shape.attempts {
         config = config.with_attempts(attempts);
     }
-    if let Some(on) = req.prefer_cheap_links {
+    if let Some(on) = shape.prefer_cheap_links {
         config = config.with_prefer_cheap_links(on);
     }
-    let mechanism = Mechanism::parse(&req.mechanism, &config)?;
+    let mechanism = Mechanism::parse(&shape.mechanism, &config)?;
 
     let plan = mechanism
-        .plan(pattern, topo.num_npus(), size, req.chunks)
+        .plan(pattern, topo.num_npus(), size, shape.chunks)
         .map_err(|e| e.cause())?;
+    let resolves_to = |answer| {
+        Arc::new(Resolved {
+            answer,
+            num_npus: topo.num_npus() as u64,
+            size,
+            algorithm: mechanism.name(),
+        })
+    };
     let Plan::Generate(generation) = plan else {
         // The theoretical bound is a closed-form computation: answer
         // inline, no worker, no cache.
         let time = IdealBound::new(&topo).collective_time(pattern, size);
-        return Ok(Response::Ok(req.id, ok_body(&topo, size, time, "ideal")));
+        let resolved = resolves_to(Answer::Ideal(time));
+        return Ok((Response::Ok(req.id, ok_body(&resolved, time)), resolved));
     };
-    let key = generation.cache_key(&req.mechanism, &topo);
+    let key = generation.cache_key(&shape.mechanism, &topo);
+    let resolved = resolves_to(Answer::Schedule(key.clone()));
 
     if let Some(entry) = state.warm.get(&key) {
-        state.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-        return Ok(Response::Ok(
-            req.id,
-            OkBody {
-                cache_hit: true,
-                ..entry_body(req, &topo, size, &entry, mechanism.name())
-            },
-        ));
+        return Ok((hit(state, req, &resolved, &entry), resolved));
     }
 
     let mut deduplicated = false;
@@ -1035,21 +1150,25 @@ fn synthesize(state: &Arc<ServerState>, req: &Request) -> Result<Response, Strin
     };
 
     let outcome = match req.deadline_ms.or(state.default_deadline_ms) {
-        Some(ms) => {
-            match flight.wait_timeout(Duration::from_millis(ms)) {
-                Some(outcome) => outcome,
-                None => {
-                    state
-                        .counters
-                        .deadline_expired
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Ok(Response::Deadline(
-                    req.id,
-                    format!("deadline of {ms} ms expired; synthesis continues and will warm the cache"),
+        Some(ms) => match flight.wait_timeout(Duration::from_millis(ms)) {
+            Some(outcome) => outcome,
+            None => {
+                state
+                    .counters
+                    .deadline_expired
+                    .fetch_add(1, Ordering::Relaxed);
+                return Ok((
+                    Response::Deadline(
+                        req.id,
+                        format!(
+                            "deadline of {ms} ms expired; synthesis continues and will warm \
+                                 the cache"
+                        ),
+                    ),
+                    resolved,
                 ));
-                }
             }
-        }
+        },
         None => loop {
             if let Some(outcome) = flight.wait_timeout(READ_POLL) {
                 break outcome;
@@ -1060,7 +1179,7 @@ fn synthesize(state: &Arc<ServerState>, req: &Request) -> Result<Response, Strin
         },
     };
 
-    match outcome {
+    let response = match outcome {
         FlightOutcome::Done {
             entry,
             synthesis_ms,
@@ -1068,51 +1187,46 @@ fn synthesize(state: &Arc<ServerState>, req: &Request) -> Result<Response, Strin
             if deduplicated {
                 state.counters.deduplicated.fetch_add(1, Ordering::Relaxed);
             }
-            Ok(Response::Ok(
+            Response::Ok(
                 req.id,
                 OkBody {
                     deduplicated,
                     synthesis_ms,
-                    ..entry_body(req, &topo, size, &entry, mechanism.name())
+                    ..entry_body(req, &resolved, &entry)
                 },
-            ))
+            )
         }
-        FlightOutcome::Failed(msg) => Err(msg),
+        FlightOutcome::Failed(msg) => return Err(msg),
         FlightOutcome::Rejected(msg) => {
             state.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            Ok(Response::Rejected(req.id, state.retry_after_ms, msg))
+            Response::Rejected(req.id, state.retry_after_ms, msg)
         }
-    }
+    };
+    Ok((response, resolved))
 }
 
 /// The `ok` answer for a schedule held in the warm cache; callers set
 /// how it got there (`cache_hit` / `deduplicated` / `synthesis_ms`).
-fn entry_body(
-    req: &Request,
-    topo: &Topology,
-    size: ByteSize,
-    entry: &WarmEntry,
-    algorithm: &str,
-) -> OkBody {
+fn entry_body(req: &Request, resolved: &Resolved, entry: &WarmEntry) -> OkBody {
     OkBody {
         transfers: entry.algo.len() as u64,
         algorithm_compact: req.include_algorithm.then(|| to_compact(&entry.algo)),
-        ..ok_body(topo, size, entry.time, algorithm)
+        ..ok_body(resolved, entry.time)
     }
 }
 
 /// An `ok` answer carrying only a completion time (all the ideal bound
 /// has): no schedule, freshly computed.
-fn ok_body(topo: &Topology, size: ByteSize, time: Time, algorithm: &str) -> OkBody {
+fn ok_body(resolved: &Resolved, time: Time) -> OkBody {
     OkBody {
         cache_hit: false,
         deduplicated: false,
         collective_time_ps: time.as_ps(),
-        bandwidth_gbps: bandwidth_gbps(size, time),
+        bandwidth_gbps: bandwidth_gbps(resolved.size, time),
         synthesis_ms: 0.0,
         transfers: 0,
-        num_npus: topo.num_npus() as u64,
-        algorithm: algorithm.into(),
+        num_npus: resolved.num_npus,
+        algorithm: resolved.algorithm.into(),
         algorithm_compact: None,
     }
 }

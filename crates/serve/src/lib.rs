@@ -8,7 +8,9 @@
 //! The daemon is plain std: a blocking accept loop, a bounded
 //! synthesis worker pool with admission control and a panic-respawning
 //! supervisor, single-flight deduplication of concurrent identical
-//! requests (one synthesis, N responses), per-request deadlines,
+//! requests (one synthesis, N responses), a bounded table of resolved
+//! request shapes (a repeat request is answered without rebuilding its
+//! topology or re-deriving its key), per-request deadlines,
 //! overload protection (bounded request lines, idle timeouts, a
 //! connection cap with `retry_after_ms` hints), and a crash-safe warm
 //! cache persisted to disk with per-entry checksums and periodic
@@ -29,6 +31,6 @@ pub mod protocol;
 
 pub use chaos::{ChaosOptions, ChaosReport};
 pub use client::{Client, RetriedCall, RetryPolicy};
-pub use daemon::{Daemon, DaemonConfig, DaemonHandle, SNAPSHOT_FILE};
+pub use daemon::{Daemon, DaemonConfig, DaemonHandle, MAX_RESOLVED_SHAPES, SNAPSHOT_FILE};
 pub use faults::FaultPlan;
-pub use protocol::{OkBody, Op, Request, Response, StatsBody};
+pub use protocol::{OkBody, Op, Request, Response, Shape, StatsBody};

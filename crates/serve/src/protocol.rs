@@ -10,6 +10,8 @@
 //! the control-op acknowledgements) and `ok` payloads report the same
 //! metrics a scenario CSV row would.
 
+use std::hash::{Hash, Hasher};
+
 use tacos_report::Json;
 use tacos_topology::LinkAxis;
 
@@ -35,6 +37,27 @@ pub struct Request {
     pub id: Option<u64>,
     /// The operation; defaults to [`Op::Synthesize`].
     pub op: Op,
+    /// What to synthesize: every field the answer's content depends on.
+    pub shape: Shape,
+    /// Per-request deadline in milliseconds; `None` falls back to the
+    /// daemon's `--deadline-ms` default (if any).
+    pub deadline_ms: Option<u64>,
+    /// Whether the `ok` response should embed the algorithm in the
+    /// compact text format.
+    pub include_algorithm: bool,
+}
+
+/// The fields of a synthesize request that decide *which* algorithm
+/// answers it — its cache key, or its ideal time — as opposed to how the
+/// answer is delivered (`id`, `deadline_ms`, `include_algorithm`). Two
+/// requests with equal shapes resolve to the same key, which is what
+/// lets the daemon resolve each shape once and look repeats up by it.
+///
+/// Equality and hashing compare the link's two floats by bit pattern, so
+/// the relation is total (`NaN == NaN`, `0.0 != -0.0`): a shape is the
+/// request as spelled, not as interpreted.
+#[derive(Debug, Clone)]
+pub struct Shape {
     /// Topology spec (`mesh:3x3`, `ring:8`, ... — the scenario
     /// vocabulary). Required for synthesize requests.
     pub topology: String,
@@ -55,12 +78,54 @@ pub struct Request {
     pub attempts: Option<usize>,
     /// Low-cost-link prioritization override.
     pub prefer_cheap_links: Option<bool>,
-    /// Per-request deadline in milliseconds; `None` falls back to the
-    /// daemon's `--deadline-ms` default (if any).
-    pub deadline_ms: Option<u64>,
-    /// Whether the `ok` response should embed the algorithm in the
-    /// compact text format.
-    pub include_algorithm: bool,
+}
+
+impl Shape {
+    /// Every field as a value with derived `Eq` and `Hash`. The
+    /// destructuring is exhaustive on purpose: a new field does not
+    /// compile until it is compared and hashed here.
+    fn identity(&self) -> impl Eq + Hash + '_ {
+        let Shape {
+            topology,
+            collective,
+            size,
+            mechanism,
+            chunks,
+            link: LinkAxis {
+                alpha_us,
+                bandwidth_gbps,
+            },
+            seed,
+            attempts,
+            prefer_cheap_links,
+        } = self;
+        (
+            topology,
+            collective,
+            size,
+            mechanism,
+            chunks,
+            alpha_us.to_bits(),
+            bandwidth_gbps.to_bits(),
+            seed,
+            attempts,
+            prefer_cheap_links,
+        )
+    }
+}
+
+impl PartialEq for Shape {
+    fn eq(&self, other: &Self) -> bool {
+        self.identity() == other.identity()
+    }
+}
+
+impl Eq for Shape {}
+
+impl Hash for Shape {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.identity().hash(state);
+    }
 }
 
 impl Default for Request {
@@ -68,15 +133,17 @@ impl Default for Request {
         Request {
             id: None,
             op: Op::Synthesize,
-            topology: String::new(),
-            collective: "all-reduce".into(),
-            size: "64MB".into(),
-            mechanism: "tacos".into(),
-            chunks: 1,
-            link: LinkAxis::default_paper(),
-            seed: None,
-            attempts: None,
-            prefer_cheap_links: None,
+            shape: Shape {
+                topology: String::new(),
+                collective: "all-reduce".into(),
+                size: "64MB".into(),
+                mechanism: "tacos".into(),
+                chunks: 1,
+                link: LinkAxis::default_paper(),
+                seed: None,
+                attempts: None,
+                prefer_cheap_links: None,
+            },
             deadline_ms: None,
             include_algorithm: false,
         }
@@ -93,6 +160,7 @@ impl Request {
             .as_object()
             .ok_or_else(|| "request must be a JSON object".to_string())?;
         let mut req = Request::default();
+        let shape = &mut req.shape;
         for (key, field) in obj {
             match key.as_str() {
                 "id" => {
@@ -114,17 +182,17 @@ impl Request {
                     };
                 }
                 "topology" => {
-                    req.topology = field.as_str().ok_or("'topology' must be a string")?.into()
+                    shape.topology = field.as_str().ok_or("'topology' must be a string")?.into()
                 }
                 "collective" => {
-                    req.collective = field
+                    shape.collective = field
                         .as_str()
                         .ok_or("'collective' must be a string")?
                         .into()
                 }
-                "size" => req.size = field.as_str().ok_or("'size' must be a string")?.into(),
+                "size" => shape.size = field.as_str().ok_or("'size' must be a string")?.into(),
                 "mechanism" => {
-                    req.mechanism = field.as_str().ok_or("'mechanism' must be a string")?.into()
+                    shape.mechanism = field.as_str().ok_or("'mechanism' must be a string")?.into()
                 }
                 "chunks" => {
                     let v = field
@@ -133,16 +201,16 @@ impl Request {
                     if v == 0 {
                         return Err("'chunks' must be >= 1".into());
                     }
-                    req.chunks = v as usize;
+                    shape.chunks = v as usize;
                 }
                 "alpha_us" => {
-                    req.link.alpha_us = field.as_f64().ok_or("'alpha_us' must be a number")?
+                    shape.link.alpha_us = field.as_f64().ok_or("'alpha_us' must be a number")?
                 }
                 "link_gbps" => {
-                    req.link.bandwidth_gbps =
+                    shape.link.bandwidth_gbps =
                         field.as_f64().ok_or("'link_gbps' must be a number")?
                 }
-                "seed" => req.seed = Some(field.as_u64().ok_or("'seed' must be an integer")?),
+                "seed" => shape.seed = Some(field.as_u64().ok_or("'seed' must be an integer")?),
                 "attempts" => {
                     let v = field
                         .as_u64()
@@ -150,10 +218,10 @@ impl Request {
                     if v == 0 {
                         return Err("'attempts' must be >= 1".into());
                     }
-                    req.attempts = Some(v as usize);
+                    shape.attempts = Some(v as usize);
                 }
                 "prefer_cheap_links" => {
-                    req.prefer_cheap_links = Some(
+                    shape.prefer_cheap_links = Some(
                         field
                             .as_bool()
                             .ok_or("'prefer_cheap_links' must be a bool")?,
@@ -171,7 +239,7 @@ impl Request {
                 other => return Err(format!("unknown request field '{other}'")),
             }
         }
-        if req.op == Op::Synthesize && req.topology.is_empty() {
+        if req.op == Op::Synthesize && req.shape.topology.is_empty() {
             return Err("synthesize requests need a 'topology'".into());
         }
         Ok(req)
@@ -232,6 +300,15 @@ pub struct StatsBody {
     pub evictions: u64,
     /// Approximate bytes of the resident warm-cache set.
     pub resident_bytes: u64,
+    /// Request shapes currently held in the resolved-shape table (never
+    /// more than [`crate::MAX_RESOLVED_SHAPES`]; 0 after a restart —
+    /// snapshots store cache keys, not shapes).
+    pub resolved_shapes: u64,
+    /// Synthesize requests whose shape was found in that table, so the
+    /// topology was not built nor the key derived for them. At most
+    /// `requests`; a hit whose warm entry had been evicted counts here
+    /// and not in `cache_hits`.
+    pub resolve_hits: u64,
 }
 
 /// One response line.
@@ -322,6 +399,8 @@ impl Response {
                     ("warm_entries", s.warm_entries.into()),
                     ("evictions", s.evictions.into()),
                     ("resident_bytes", s.resident_bytes.into()),
+                    ("resolved_shapes", s.resolved_shapes.into()),
+                    ("resolve_hits", s.resolve_hits.into()),
                 ],
             ),
             Response::Pong(id) => (*id, vec![("status", "pong".into())]),
@@ -349,13 +428,13 @@ mod tests {
     fn minimal_request_fills_defaults() {
         let req = Request::parse(r#"{"topology":"mesh:3x3"}"#).unwrap();
         assert_eq!(req.op, Op::Synthesize);
-        assert_eq!(req.topology, "mesh:3x3");
-        assert_eq!(req.collective, "all-reduce");
-        assert_eq!(req.size, "64MB");
-        assert_eq!(req.mechanism, "tacos");
-        assert_eq!(req.chunks, 1);
-        assert_eq!(req.link.alpha_us, 0.5);
-        assert_eq!(req.link.bandwidth_gbps, 50.0);
+        assert_eq!(req.shape.topology, "mesh:3x3");
+        assert_eq!(req.shape.collective, "all-reduce");
+        assert_eq!(req.shape.size, "64MB");
+        assert_eq!(req.shape.mechanism, "tacos");
+        assert_eq!(req.shape.chunks, 1);
+        assert_eq!(req.shape.link.alpha_us, 0.5);
+        assert_eq!(req.shape.link.bandwidth_gbps, 50.0);
         assert!(req.deadline_ms.is_none());
     }
 
@@ -369,10 +448,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(req.id, Some(7));
-        assert_eq!(req.mechanism, "tacos:chunks=4");
-        assert_eq!(req.seed, Some(9));
-        assert_eq!(req.attempts, Some(4));
-        assert_eq!(req.prefer_cheap_links, Some(false));
+        assert_eq!(req.shape.mechanism, "tacos:chunks=4");
+        assert_eq!(req.shape.seed, Some(9));
+        assert_eq!(req.shape.attempts, Some(4));
+        assert_eq!(req.shape.prefer_cheap_links, Some(false));
         assert_eq!(req.deadline_ms, Some(500));
         assert!(req.include_algorithm);
     }
@@ -395,10 +474,56 @@ mod tests {
             (r#"{"topology":"mesh:3x3","id":"x"}"#, "id"),
             ("[1,2]", "object"),
             ("not json", "byte"),
+            (
+                r#"{"topology":"ring:4","topology":"ring:8","size":"1MB"}"#,
+                "duplicate field 'topology'",
+            ),
+            (r#"{"op":"ping","id":1,"id":1}"#, "duplicate field 'id'"),
+            // 2^64 is not a u64, and must not be read as u64::MAX.
+            (
+                r#"{"topology":"ring:4","seed":18446744073709551616}"#,
+                "'seed' must be an integer",
+            ),
         ] {
             let err = Request::parse(line).unwrap_err();
             assert!(err.contains(needle), "'{line}' gave '{err}'");
         }
+    }
+
+    #[test]
+    fn shapes_compare_by_what_was_asked_not_how() {
+        use std::collections::HashSet;
+        let shape = |line: &str| Request::parse(line).unwrap().shape;
+        let base = shape(r#"{"topology":"ring:8","seed":3}"#);
+        // Delivery fields and key order are not part of the shape; a
+        // default spelled out is the default.
+        for same in [
+            r#"{"seed":3,"topology":"ring:8","id":9,"deadline_ms":5,"include_algorithm":true}"#,
+            r#"{"topology":"ring:8","seed":3,"chunks":1,"size":"64MB","alpha_us":0.5}"#,
+        ] {
+            assert_eq!(shape(same), base, "{same}");
+        }
+        let mut seen = HashSet::from([base]);
+        for different in [
+            r#"{"topology":"ring:9","seed":3}"#,
+            r#"{"topology":"ring:8","seed":3,"collective":"all-gather"}"#,
+            r#"{"topology":"ring:8","seed":3,"size":"1MB"}"#,
+            r#"{"topology":"ring:8","seed":3,"mechanism":"ring"}"#,
+            r#"{"topology":"ring:8","seed":3,"chunks":2}"#,
+            r#"{"topology":"ring:8","seed":3,"alpha_us":0.25}"#,
+            r#"{"topology":"ring:8","seed":3,"link_gbps":25}"#,
+            r#"{"topology":"ring:8","seed":4}"#,
+            r#"{"topology":"ring:8"}"#,
+            r#"{"topology":"ring:8","seed":3,"attempts":1}"#,
+            r#"{"topology":"ring:8","seed":3,"prefer_cheap_links":true}"#,
+        ] {
+            assert!(seen.insert(shape(different)), "{different}");
+        }
+        // By bits: a NaN link is rejected later, but must not break the
+        // table's `Eq` on the way there.
+        let mut nan = shape(r#"{"topology":"ring:8"}"#);
+        nan.link.alpha_us = f64::NAN;
+        assert_eq!(nan, nan.clone());
     }
 
     #[test]

@@ -179,3 +179,79 @@ fn unusable_link_parameters_get_a_typed_error_and_keep_the_connection() {
     assert_eq!(stats.get("errors").and_then(Json::as_u64), Some(3));
     daemon.stop().unwrap();
 }
+
+/// Three lines that used to be served wrong or not at all: a repeated
+/// key was served with its last value; `2^64` was read as `u64::MAX`
+/// (and answered from that seed's cache entry); a chunking factor whose
+/// chunk count wraps panicked the connection thread (`8 * 2^61 = 0`
+/// chunks, a division by zero) or a worker (`8 * (2^61 + 1) = 8`
+/// chunks, ids out of range) where overflow checks are off.
+#[test]
+fn repeated_keys_and_out_of_range_integers_get_a_typed_error() {
+    let daemon = spawn(DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::default()
+    });
+    let mut client = Client::connect(daemon.addr()).unwrap();
+
+    // The entry `2^64` must not be answered from.
+    let max_seed = client
+        .call(r#"{"topology":"ring:8","size":"1MB","seed":18446744073709551615}"#)
+        .unwrap();
+    assert_eq!(max_seed.get("status").and_then(Json::as_str), Some("ok"));
+
+    let chunks = "over 8 NPUs exceeds the 4294967295 chunks a collective can number";
+    let hostile = [
+        (
+            r#"{"topology":"ring:4","topology":"ring:8","size":"1MB"}"#,
+            "duplicate field 'topology'",
+        ),
+        (
+            r#"{"topology":"ring:8","size":"1MB","seed":18446744073709551616}"#,
+            "'seed' must be an integer",
+        ),
+        (
+            r#"{"topology":"ring:8","size":"1MB","chunks":2305843009213693952}"#,
+            chunks,
+        ),
+        (
+            r#"{"topology":"ring:8","size":"1MB","chunks":2305843009213693953}"#,
+            chunks,
+        ),
+        (
+            r#"{"topology":"ring:8","size":"1MB","collective":"all-to-all","chunks":288230376151711744}"#,
+            chunks,
+        ),
+        (
+            r#"{"topology":"ring:8","size":"1MB","mechanism":"tacos:2305843009213693953"}"#,
+            chunks,
+        ),
+    ];
+    for (line, needle) in hostile {
+        let response = client
+            .call(line)
+            .unwrap_or_else(|e| panic!("{line}: no typed response: {e}"));
+        assert_eq!(
+            response.get("status").and_then(Json::as_str),
+            Some("error"),
+            "{line}: {response}"
+        );
+        let reason = response
+            .get("reason")
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        assert!(reason.contains(needle), "{line}: {reason}");
+        assert!(!reason.contains('\n'), "{line}: {reason}");
+    }
+
+    // The same connection survives all of them, no worker died, and
+    // nothing but the first request was synthesized or remembered.
+    let pong = client.call(r#"{"op":"ping"}"#).unwrap();
+    assert_eq!(pong.get("status").and_then(Json::as_str), Some("pong"));
+    let stats = daemon.stats();
+    assert_eq!(stats.errors, hostile.len() as u64, "{stats:?}");
+    assert_eq!(stats.worker_restarts, 0, "{stats:?}");
+    assert_eq!((stats.synthesized, stats.cache_hits), (1, 0), "{stats:?}");
+    assert_eq!(stats.resolved_shapes, 1, "{stats:?}");
+    daemon.stop().unwrap();
+}

@@ -71,6 +71,9 @@ fn a_restarted_daemon_serves_from_the_persisted_cache() {
     let stats = second.stats();
     assert_eq!(stats.synthesized, 0, "warm restart must not resynthesize");
     assert_eq!(stats.cache_hits, 1);
+    // The snapshot holds keys, not request shapes: the hit was resolved
+    // the long way, and is remembered from here on.
+    assert_eq!((stats.resolve_hits, stats.resolved_shapes), (0, 1));
     second.stop().expect("clean stop");
 
     let _ = std::fs::remove_dir_all(&cache_dir);
@@ -341,12 +344,18 @@ cache = "{}"
                 assert_eq!(m.cache, (algo != "ideal").then_some(outcome), "{at}");
             }
 
-            // Serving front end: a miss, then a hit, same answer.
+            // Serving front end: a miss that resolves the request's shape,
+            // then two hits answered from the remembered resolution —
+            // the same answer, and between themselves the same bytes.
             let request = format!(
                 r#"{{"topology":"{topology}","collective":"all-reduce","size":"{SIZE}","chunks":{CHUNKS},"mechanism":"{algo}","seed":{SEED}}}"#
             );
-            for hit in [false, true] {
-                let response = call(&daemon, &request);
+            let mut lines = Vec::new();
+            for hit in [false, true, true] {
+                let mut client = Client::connect(daemon.addr()).expect("connect");
+                let line = client.call_raw(&request).expect("response");
+                let response = Json::parse(line.trim_end()).expect("a JSON line");
+                lines.push(line);
                 assert_eq!(
                     response.get("status").and_then(Json::as_str),
                     Some("ok"),
@@ -368,6 +377,7 @@ cache = "{}"
                     "{at}"
                 );
             }
+            assert_eq!(lines[1], lines[2], "{at}");
 
             // Training front end: the same pipeline under the training
             // chunk rule — synthesized collectives take the chunking
@@ -384,7 +394,12 @@ cache = "{}"
             );
         }
         let stats = daemon.stats();
-        assert_eq!((stats.synthesized, stats.cache_hits), (4, 4), "{topology}");
+        assert_eq!((stats.synthesized, stats.cache_hits), (4, 8), "{topology}");
+        assert_eq!(
+            (stats.resolved_shapes, stats.resolve_hits),
+            (5, 10),
+            "{topology}"
+        );
         daemon.stop().expect("clean stop");
         let _ = std::fs::remove_dir_all(&cache_dir);
     }
