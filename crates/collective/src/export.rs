@@ -226,78 +226,111 @@ pub fn from_compact(text: &str) -> Result<CollectiveAlgorithm, String> {
     if h.len() != 7 || h[0] != "tacos-algo" || h[1] != "v1" {
         return Err(format!("bad header: '{header}'"));
     }
-    let num = |s: &str, what: &str| -> Result<u64, String> {
-        s.parse::<u64>()
-            .map_err(|e| format!("bad {what} '{s}': {e}"))
-    };
-    let opt = |s: &str, what: &str| -> Result<Option<u64>, String> {
+    // Each field parses at its own width, so an id too wide for `u32` is an
+    // error rather than a truncated, different id.
+    fn num<T: std::str::FromStr<Err = std::num::ParseIntError>>(
+        s: &str,
+        what: &str,
+    ) -> Result<T, String> {
+        s.parse::<T>().map_err(|e| format!("bad {what} '{s}': {e}"))
+    }
+    fn opt<T: std::str::FromStr<Err = std::num::ParseIntError>>(
+        s: &str,
+        what: &str,
+    ) -> Result<Option<T>, String> {
         if s == "-" {
             Ok(None)
         } else {
             num(s, what).map(Some)
         }
-    };
-    let num_npus = num(h[3], "num_npus")? as usize;
+    }
+    let num_npus: usize = num(h[3], "num_npus")?;
     let mut b = AlgorithmBuilder::new(
         h[2],
         num_npus,
         ByteSize::bytes(num(h[4], "chunk_size")?),
         ByteSize::bytes(num(h[5], "total_size")?),
     );
-    let planned = opt(h[6], "planned_time")?;
+    let planned: Option<u64> = opt(h[6], "planned_time")?;
 
-    for (lineno, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
+    // Checks everything `AlgorithmBuilder` would assert, so malformed
+    // text is an error, never a panic.
+    let push_line = |b: &mut AlgorithmBuilder, line: &str| -> Result<(), String> {
         let f: Vec<&str> = line.split_whitespace().collect();
         if f.len() != 9 {
-            return Err(format!(
-                "line {}: expected 9 fields, got {}",
-                lineno + 1,
-                f.len()
-            ));
+            return Err(format!("expected 9 fields, got {}", f.len()));
         }
-        let chunk = ChunkId::new(num(f[0], "chunk")? as u32);
-        let count = num(f[1], "count")? as u32;
-        let src = NpuId::new(num(f[2], "src")? as u32);
-        let dst = NpuId::new(num(f[3], "dst")? as u32);
+        let chunk = ChunkId::new(num(f[0], "chunk")?);
+        let count: u32 = num(f[1], "count")?;
+        let (src, dst): (u32, u32) = (num(f[2], "src")?, num(f[3], "dst")?);
+        for (what, npu) in [("src", src), ("dst", dst)] {
+            if npu as usize >= num_npus {
+                return Err(format!("{what} {npu} out of range ({num_npus} NPUs)"));
+            }
+        }
+        if src == dst {
+            return Err(format!("transfer endpoints must differ ({src} -> {dst})"));
+        }
+        if count == 0 {
+            return Err("count must be at least 1".into());
+        }
+        let (src, dst) = (NpuId::new(src), NpuId::new(dst));
         let kind = match f[4] {
             "C" => TransferKind::Copy,
             "R" => TransferKind::Reduce,
-            other => return Err(format!("line {}: bad kind '{other}'", lineno + 1)),
+            other => return Err(format!("bad kind '{other}'")),
         };
-        let link = opt(f[5], "link")?.map(|l| LinkId::new(l as u32));
-        let start = opt(f[6], "start")?.map(Time::from_ps);
-        let duration = opt(f[7], "duration")?.map(Time::from_ps);
+        let link: Option<u32> = opt(f[5], "link")?;
+        let (start, duration): (Option<u64>, Option<u64>) =
+            (opt(f[6], "start")?, opt(f[7], "duration")?);
+        // The largest value of each schedule field is the builder's
+        // "unscheduled" sentinel: it would read back as a partial schedule.
+        for (what, value, sentinel) in [
+            ("link", link.map(u64::from), u64::from(u32::MAX)),
+            ("start", start, u64::MAX),
+            ("duration", duration, u64::MAX),
+        ] {
+            if value == Some(sentinel) {
+                return Err(format!("{what} {sentinel} is reserved for 'unscheduled'"));
+            }
+        }
+        let link = link.map(LinkId::new);
+        let (start, duration) = (start.map(Time::from_ps), duration.map(Time::from_ps));
         let deps: Vec<TransferId> = if f[8] == "-" {
             Vec::new()
         } else {
             f[8].split(',')
-                .map(|d| num(d, "dep").map(|v| TransferId::new(v as u32)))
+                .map(|d| num(d, "dep").map(TransferId::new))
                 .collect::<Result<_, _>>()?
         };
+        if let Some(dep) = deps.iter().find(|d| d.index() >= b.len()) {
+            return Err(format!(
+                "dependency {} is not an earlier transfer",
+                dep.index()
+            ));
+        }
         match (link, start, duration) {
             (Some(link), Some(start), Some(duration)) => {
+                if count != 1 {
+                    return Err(format!("a scheduled transfer moves one chunk, not {count}"));
+                }
                 b.push_scheduled(chunk, src, dst, kind, link, start, duration, deps);
             }
             (Some(link), None, None) => {
                 b.push_on_link(chunk, count, src, dst, kind, link, deps);
             }
             (None, None, None) => {
-                if count == 1 {
-                    b.push(chunk, src, dst, kind, deps);
-                } else {
-                    b.push_counted(chunk, count, src, dst, kind, deps);
-                }
+                b.push_counted(chunk, count, src, dst, kind, deps);
             }
-            _ => {
-                return Err(format!(
-                    "line {}: partial schedule (link/start/duration must come together)",
-                    lineno + 1
-                ))
-            }
+            _ => return Err("partial schedule (link/start/duration must come together)".into()),
         }
+        Ok(())
+    };
+    for (lineno, line) in lines {
+        if line.trim().is_empty() {
+            continue;
+        }
+        push_line(&mut b, line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
     }
     if let Some(planned) = planned {
         b.planned_time(Time::from_ps(planned));
@@ -440,4 +473,51 @@ mod tests {
         assert!(from_compact("tacos-algo v1 a 2 1 1 -\n1 1 0 1 C 0 5 - -").is_err());
         assert!(from_compact("tacos-algo v1 a 2 1 1 -\n1 1 0 1 C").is_err());
     }
+
+    /// Lines the builder would assert on, and values that collide with
+    /// the "unscheduled" sentinels, are `line N` errors, not panics or
+    /// silently different transfers.
+    #[test]
+    fn compact_rejects_what_the_builder_would_assert_on() {
+        for (line, expected) in MALFORMED_LINES {
+            let text = format!("tacos-algo v1 x 4 1000 4000 -\n0 1 0 1 C - - - -\n{line}\n");
+            let err = from_compact(&text).expect_err(line);
+            assert_eq!(err, format!("line 3: {expected}"), "{line}");
+        }
+    }
+
+    /// Transfer lines that are well-formed text but not a transfer, with
+    /// the error each gets (under a 4-NPU header, after one valid line).
+    const MALFORMED_LINES: [(&str, &str); 9] = [
+        (
+            "0 1 0 0 C - - - -",
+            "transfer endpoints must differ (0 -> 0)",
+        ),
+        ("0 1 0 9 C - - - -", "dst 9 out of range (4 NPUs)"),
+        (
+            "0 1 0 1 C - - - 3",
+            "dependency 3 is not an earlier transfer",
+        ),
+        ("0 0 0 1 C - - - -", "count must be at least 1"),
+        (
+            "0 1 0 1 C 0 18446744073709551615 5 -",
+            "start 18446744073709551615 is reserved for 'unscheduled'",
+        ),
+        (
+            "0 1 0 1 C 0 5 18446744073709551615 -",
+            "duration 18446744073709551615 is reserved for 'unscheduled'",
+        ),
+        (
+            "0 1 0 1 C 4294967295 5 5 -",
+            "link 4294967295 is reserved for 'unscheduled'",
+        ),
+        (
+            "4294967296 1 0 1 C - - - -",
+            "bad chunk '4294967296': number too large to fit in target type",
+        ),
+        (
+            "0 2 0 1 C 0 5 5 -",
+            "a scheduled transfer moves one chunk, not 2",
+        ),
+    ];
 }

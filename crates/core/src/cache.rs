@@ -257,6 +257,18 @@ impl Fnv {
     }
 }
 
+/// Transfer lines `AlgorithmBuilder` would assert on, and one whose start
+/// is the "unscheduled" sentinel: under a 4-NPU header, each makes a
+/// cache file or snapshot entry unreadable.
+#[cfg(test)]
+pub(crate) const MALFORMED_LINES: [&str; 5] = [
+    "0 1 0 0 C - - - -",
+    "0 1 0 9 C - - - -",
+    "0 1 0 1 C - - - 3",
+    "0 0 0 1 C - - - -",
+    "0 1 0 1 C 0 18446744073709551615 5 -",
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,6 +431,29 @@ mod tests {
             .collect();
         assert_eq!(names, ["k.tacos"]);
         assert_eq!(cache.load("k").unwrap(), algo);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cache file whose text parses but is not a transfer list is a
+    /// miss: the entry is regenerated and rewritten, never a panic.
+    #[test]
+    fn a_malformed_entry_is_a_miss_then_a_regeneration() {
+        let (topo, coll, synth) = setup();
+        let dir = temp_dir("malformed");
+        let cache = AlgorithmCache::new(&dir).unwrap();
+        let k = key(&synth, &topo, &coll);
+        for line in MALFORMED_LINES {
+            std::fs::write(
+                dir.join(format!("{k}.tacos")),
+                format!("tacos-algo v1 x 4 1000 4000 -\n{line}\n"),
+            )
+            .unwrap();
+            assert!(cache.load(&k).is_none(), "{line}");
+            let (_, first) = synthesize_cached(&cache, &synth, &topo, &coll);
+            assert_eq!(first, CacheOutcome::Miss, "{line}");
+            let (_, second) = synthesize_cached(&cache, &synth, &topo, &coll);
+            assert_eq!(second, CacheOutcome::Hit, "{line}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1093,6 +1093,39 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// An entry whose checksum holds but whose text is not a transfer
+    /// list tears the snapshot there: the entries before it load, the
+    /// report says salvaged, and nothing panics.
+    #[test]
+    fn a_malformed_entry_with_a_valid_crc_tears_the_snapshot() {
+        let good = export::to_compact(&algo());
+        let path = temp("malformed");
+        for line in crate::cache::MALFORMED_LINES {
+            let bad = format!("tacos-algo v1 x 4 1000 4000 -\n{line}\n");
+            let mut text = format!("{SNAPSHOT_MAGIC}\nmatcher {MATCHER_VERSION}\nentries 2\n");
+            for (key, compact) in [("a", &good), ("b", &bad)] {
+                let crc = entry_crc(key, 5, compact);
+                text.push_str(&format!("{key} 5 {} {crc:08x}\n{compact}", compact.len()));
+            }
+            text.push_str("end 2\n");
+            std::fs::write(&path, text).unwrap();
+            let report = WarmCache::load_from(&path).unwrap();
+            assert!(report.salvaged, "{line}");
+            assert_eq!(report.entries_loaded, 1, "{line}");
+            assert!(report.cache.get("a").is_some(), "{line}");
+            assert!(
+                report
+                    .detail
+                    .as_deref()
+                    .unwrap()
+                    .starts_with("entry 1: line 2: "),
+                "{line}: {:?}",
+                report.detail
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn a_flipped_byte_in_an_entry_fails_its_crc_and_tears_there() {
         let cache = WarmCache::new();

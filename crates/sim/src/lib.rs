@@ -8,7 +8,10 @@
 //! first-order congestion model behind the paper's heat maps (Figs. 1, 15b)
 //! and utilization timelines (Figs. 16b, 18). Transfers without an assigned
 //! physical link are routed over static α–β-shortest paths with
-//! store-and-forward hops.
+//! store-and-forward hops. A schedule that already is a valid execution
+//! of this model — causal, link-exclusive, timed by α–β, as every TACOS
+//! schedule is — is not re-simulated: its report is read off the plan
+//! (see [`Simulator::simulate`]).
 //!
 //! The simulator consumes the same
 //! [`CollectiveAlgorithm`](tacos_collective::algorithm::CollectiveAlgorithm)
@@ -18,6 +21,8 @@
 #![warn(missing_docs)]
 
 mod error;
+#[cfg(test)]
+mod reference;
 mod report;
 mod simulator;
 

@@ -77,6 +77,7 @@ pub struct TimelineSegment {
 /// * [`SimReport::utilization_timeline`] — fraction of links busy over
 ///   normalized time (paper Figs. 16b and 18).
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct SimReport {
     collective_time: Time,
     link_bytes: Vec<u64>,
@@ -135,10 +136,28 @@ impl SimReport {
         &self.link_busy
     }
 
-    /// The recorded per-message busy intervals (empty when the simulator
-    /// ran with interval recording disabled).
+    /// One busy interval per message, in nondecreasing start order.
+    ///
+    /// Messages that start at the same instant appear in the event
+    /// engine's processing order when the engine ran, and in transfer
+    /// index order when the report was replayed from a link-exclusive
+    /// plan (see the simulator's module docs), so the order of equal
+    /// starts is not part of the contract. [`SimReport::timeline`],
+    /// [`SimReport::span_stages`] and the per-link totals only sum
+    /// integers over the intervals and do not depend on it;
+    /// [`SimReport::utilization_timeline`] sums floats, so its values may
+    /// differ in the last bits between the two orders.
     pub fn intervals(&self) -> &[BusyInterval] {
         &self.intervals
+    }
+
+    /// The report with its intervals in (start, link, duration, bytes)
+    /// order, for comparing reports as multisets of intervals.
+    #[cfg(test)]
+    pub(crate) fn with_sorted_intervals(mut self) -> Self {
+        self.intervals
+            .sort_by_key(|iv| (iv.start, iv.link, iv.duration, iv.bytes));
+        self
     }
 
     /// Number of point-to-point messages simulated (multi-hop transfers

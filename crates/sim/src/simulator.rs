@@ -7,14 +7,61 @@
 //! maps of Figs. 1 and 15b. Transfers between NPUs that share no physical
 //! link are routed over static α–β-shortest paths (store-and-forward per
 //! hop), which is how topology-unaware baselines like Direct-on-a-Ring pay
-//! for their assumptions.
+//! for their assumptions. Messages contending for a link are served in
+//! planned-start order when the algorithm carries a schedule, so a
+//! scheduled transfer is never served before, or out of order with, its
+//! plan.
+//!
+//! # Plan replay
+//!
+//! A schedule that already is a valid execution of this model needs no
+//! simulation: its report can be read off the plan. [`Simulator::simulate`]
+//! first checks, in one pass over the transfers in index order, that
+//!
+//! 1. every transfer is scheduled (link, start and duration all set);
+//! 2. its link exists and joins the transfer's own source and destination;
+//! 3. its duration is exactly `link.cost(payload)`, and positive;
+//! 4. it starts no earlier than each of its dependencies ends;
+//! 5. it starts no earlier than the previous transfer on its link ends,
+//!    each link's transfers being read in index order.
+//!
+//! These are SCCL's conditions for a valid schedule — causal,
+//! link-exclusive, timed by α–β — and a TACOS schedule meets them by
+//! construction (the time-expanded network matches one chunk per link per
+//! span, §IV-D). When they hold, the engine below would run every transfer
+//! at its planned start. By induction over time: a transfer's dependencies
+//! have finished by its planned start (check 4), so it is released exactly
+//! then; checks 3 and 5 make the starts on each link strictly increasing
+//! in index order with each predecessor finished by the next start, and no
+//! later transfer on the link is released earlier, so the link is idle
+//! with an empty queue and the message starts at once and lasts its
+//! planned duration. Hence the collective time is the latest planned end,
+//! each link carries its transfers' payloads for their durations, and
+//! there is one message per transfer. If any check fails the engine runs,
+//! so malformed plans still get the engine's answer or its
+//! [`SimError::BadLink`]. Unscheduled (baseline) algorithms fail check 1
+//! on their first transfer and always take the engine.
+//!
+//! # The event engine
+//!
+//! A discrete-event loop over flat tables: per-transfer payload, planned
+//! start and outstanding-dependency count, CSR arrays of each transfer's
+//! hops and dependents, and per-link busy-until times and priority queues.
+//! Events are ordered by (time, creation order). Three queues hold them
+//! and together give exactly that order: releases of transfers without
+//! dependencies come from one array sorted by release time (created first,
+//! so they win ties); later events due in the future go to a binary heap;
+//! events due at the current instant — the next hop of a routed message,
+//! a dependent released by a completion — go to a FIFO behind the heap's
+//! events of that instant. A message that reaches an idle link with an
+//! empty queue starts without touching the link's queue.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use tacos_collective::algorithm::CollectiveAlgorithm;
 use tacos_topology::routing::{route_path, RoutingTable};
-use tacos_topology::{LinkId, Time, Topology};
+use tacos_topology::{ByteSize, LinkId, Time, Topology};
 
 use crate::error::SimError;
 use crate::report::{BusyInterval, SimReport};
@@ -34,42 +81,12 @@ pub enum RouteModel {
 }
 
 /// Simulator options.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SimConfig {
-    respect_planned_order: bool,
-    record_intervals: bool,
     route_model: RouteModel,
 }
 
 impl SimConfig {
-    /// When `true` (default), messages contending for a link are served in
-    /// planned-start order if the algorithm carries a schedule; this makes
-    /// replaying a TACOS schedule reproduce its planned times exactly.
-    /// Unscheduled (baseline) algorithms always use FCFS.
-    pub fn respect_planned_order(&self) -> bool {
-        self.respect_planned_order
-    }
-
-    /// Whether per-message busy intervals are recorded (needed for
-    /// utilization timelines; costs memory on very large runs).
-    pub fn record_intervals(&self) -> bool {
-        self.record_intervals
-    }
-
-    /// Returns the config with planned-order service toggled.
-    #[must_use]
-    pub fn with_respect_planned_order(mut self, on: bool) -> Self {
-        self.respect_planned_order = on;
-        self
-    }
-
-    /// Returns the config with busy-interval recording toggled.
-    #[must_use]
-    pub fn with_record_intervals(mut self, on: bool) -> Self {
-        self.record_intervals = on;
-        self
-    }
-
     /// How routed multi-hop messages pay α.
     pub fn route_model(&self) -> RouteModel {
         self.route_model
@@ -80,16 +97,6 @@ impl SimConfig {
     pub fn with_route_model(mut self, model: RouteModel) -> Self {
         self.route_model = model;
         self
-    }
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            respect_planned_order: true,
-            record_intervals: true,
-            route_model: RouteModel::default(),
-        }
     }
 }
 
@@ -117,30 +124,6 @@ pub struct Simulator {
     config: SimConfig,
 }
 
-/// One hop of one transfer, queued at a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Message {
-    transfer: u32,
-    hop: u32,
-}
-
-/// Queue priority: planned start (or MAX), ready time, sequence.
-type Priority = (u64, u64, u64);
-
-/// Simulation events: a message becomes eligible at a link, or a link
-/// finishes transmitting a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
-    Release(Message),
-    Complete(Message, LinkId),
-}
-
-#[derive(Debug)]
-struct LinkState {
-    busy_until: Time,
-    pending: BinaryHeap<Reverse<(Priority, Message)>>,
-}
-
 impl Simulator {
     /// A simulator with default configuration.
     pub fn new() -> Self {
@@ -158,7 +141,9 @@ impl Simulator {
     }
 
     /// Simulates `algo` on `topo` and reports completion time, per-link
-    /// traffic, and utilization.
+    /// traffic, and utilization. A plan that passes the replay checks of
+    /// the module docs is read off directly; anything else runs the
+    /// event engine.
     ///
     /// # Errors
     /// * [`SimError::NpuCountMismatch`] if the algorithm was generated for
@@ -178,13 +163,146 @@ impl Simulator {
                 algorithm: algo.num_npus(),
             });
         }
-        let chunk_size = algo.chunk_size();
-        let transfers = algo.transfers();
+        if let Some(report) = replay(topo, algo) {
+            return Ok(report);
+        }
+        Engine::new(topo, algo, self.config.route_model)?.run(algo)
+    }
+}
 
-        // Resolve each transfer into its hop sequence.
-        let needs_routing = transfers.iter().any(|t| t.link().is_none());
-        let table = needs_routing.then(|| RoutingTable::new(topo, chunk_size));
-        let mut hops: Vec<Vec<LinkId>> = Vec::with_capacity(transfers.len());
+/// The report of a plan that passes every replay check of the module
+/// docs, built from the plan alone; `None` if any check fails.
+pub(crate) fn replay(topo: &Topology, algo: &CollectiveAlgorithm) -> Option<SimReport> {
+    let transfers = algo.transfers();
+    let num_links = topo.num_links();
+    let mut ends: Vec<Time> = Vec::with_capacity(transfers.len());
+    let mut link_free = vec![Time::ZERO; num_links];
+    let mut link_bytes = vec![0u64; num_links];
+    let mut link_busy = vec![Time::ZERO; num_links];
+    let mut intervals: Vec<BusyInterval> = Vec::with_capacity(transfers.len());
+    let mut in_start_order = true;
+    let mut collective_time = Time::ZERO;
+    for t in transfers {
+        let (link_id, start, duration) = (t.link()?, t.start()?, t.duration()?);
+        let l = link_id.index();
+        if l >= num_links {
+            return None;
+        }
+        let link = topo.link(link_id);
+        let payload = t.payload(algo.chunk_size());
+        let end = start + duration;
+        if link.src() != t.src()
+            || link.dst() != t.dst()
+            || duration.is_zero()
+            || duration != link.cost(payload)
+            || start < link_free[l]
+            || t.deps().iter().any(|d| ends[d.index()] > start)
+        {
+            return None;
+        }
+        link_free[l] = end;
+        ends.push(end);
+        link_bytes[l] += payload.as_u64();
+        link_busy[l] += duration;
+        in_start_order &= intervals.last().is_none_or(|prev| prev.start <= start);
+        intervals.push(BusyInterval {
+            link: link_id,
+            start,
+            duration,
+            bytes: payload.as_u64(),
+        });
+        collective_time = collective_time.max(end);
+    }
+    if !in_start_order {
+        intervals.sort_by_key(|iv| iv.start);
+    }
+    Some(SimReport::new(
+        collective_time,
+        link_bytes,
+        link_busy,
+        intervals,
+        transfers.len() as u64,
+        algo.total_size(),
+    ))
+}
+
+/// One hop of one transfer: the transfer and the hop's index in the CSR
+/// hop table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Message {
+    transfer: u32,
+    hop: u32,
+}
+
+/// A message becomes eligible at its hop's link, or that link finishes
+/// transmitting it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    Release(Message),
+    Complete(Message),
+}
+
+/// Marks a transfer without a planned start in [`Engine::planned`]; it
+/// also sorts such messages after every planned one in a link queue.
+const UNPLANNED: u64 = u64::MAX;
+
+/// When a transfer whose inputs are ready at `ready` is released: not
+/// before its planned start, if it has one.
+fn release_at(planned: u64, ready: u64) -> u64 {
+    match planned {
+        UNPLANNED => ready,
+        p => p.max(ready),
+    }
+}
+
+/// The event engine's state, all in flat tables (times in picoseconds).
+pub(crate) struct Engine<'a> {
+    topo: &'a Topology,
+    cut_through: bool,
+    /// Per transfer: payload bytes, planned start, unfinished dependencies.
+    payload: Vec<u64>,
+    planned: Vec<u64>,
+    waiting_on: Vec<u32>,
+    /// CSR: transfer `t`'s hops are `hop_link[hop_start[t]..hop_start[t + 1]]`.
+    hop_start: Vec<u32>,
+    hop_link: Vec<u32>,
+    /// CSR: transfer `t`'s dependents, in index order.
+    dependent_start: Vec<u32>,
+    dependents: Vec<u32>,
+    /// Per link: when the current message ends, and the waiting messages
+    /// keyed by (planned start, release order).
+    busy_until: Vec<u64>,
+    queue: Vec<BinaryHeap<Reverse<(u64, u64, Message)>>>,
+    released: u64,
+    /// Releases of dependency-free transfers, by release time.
+    initial: Vec<u32>,
+    next_initial: usize,
+    /// Future events keyed by (time, creation order); events due now.
+    heap: BinaryHeap<Reverse<(u64, u64, Event)>>,
+    created: u64,
+    due_now: VecDeque<Event>,
+    now: u64,
+    link_bytes: Vec<u64>,
+    link_busy: Vec<Time>,
+    intervals: Vec<BusyInterval>,
+}
+
+impl<'a> Engine<'a> {
+    /// Resolves every transfer into its hops and builds the tables.
+    pub(crate) fn new(
+        topo: &'a Topology,
+        algo: &CollectiveAlgorithm,
+        route_model: RouteModel,
+    ) -> Result<Self, SimError> {
+        let transfers = algo.transfers();
+        let n = transfers.len();
+        let table = transfers
+            .iter()
+            .any(|t| t.link().is_none())
+            .then(|| RoutingTable::new(topo, algo.chunk_size()));
+        let mut hop_start = Vec::with_capacity(n + 1);
+        let mut hop_link = Vec::with_capacity(n);
+        hop_start.push(0u32);
         for (i, t) in transfers.iter().enumerate() {
             match t.link() {
                 Some(link_id) => {
@@ -207,7 +325,7 @@ impl Simulator {
                             ),
                         });
                     }
-                    hops.push(vec![link_id]);
+                    hop_link.push(link_id.raw());
                 }
                 None => {
                     let table = table.as_ref().expect("built when needed");
@@ -217,201 +335,201 @@ impl Simulator {
                             dst: t.dst().index(),
                         })?;
                     debug_assert!(!path.is_empty());
-                    hops.push(path);
+                    hop_link.extend(path.iter().map(|l| l.raw()));
                 }
             }
+            hop_start.push(hop_link.len() as u32);
         }
 
-        // Dependency bookkeeping.
-        let mut deps_remaining: Vec<u32> =
-            transfers.iter().map(|t| t.deps().len() as u32).collect();
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); transfers.len()];
+        let mut dependent_start = vec![0u32; n + 1];
+        for t in transfers {
+            for d in t.deps() {
+                dependent_start[d.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            dependent_start[i + 1] += dependent_start[i];
+        }
+        let mut fill = dependent_start.clone();
+        let mut dependents = vec![0u32; dependent_start[n] as usize];
         for (i, t) in transfers.iter().enumerate() {
             for d in t.deps() {
-                dependents[d.index()].push(i as u32);
+                dependents[fill[d.index()] as usize] = i as u32;
+                fill[d.index()] += 1;
             }
         }
 
-        // Planned starts double as release times and as queue priorities:
-        // a scheduled transfer is never served before (or out of order
-        // with) its plan, which makes replaying a contention-free schedule
-        // exact. Unscheduled transfers run eagerly, FCFS.
-        let planned: Vec<Option<Time>> = transfers
+        let planned: Vec<u64> = transfers
             .iter()
-            .map(|t| {
-                if self.config.respect_planned_order {
-                    t.start()
-                } else {
-                    None
-                }
-            })
+            .map(|t| t.start().map_or(UNPLANNED, Time::as_ps))
             .collect();
+        let waiting_on: Vec<u32> = transfers.iter().map(|t| t.deps().len() as u32).collect();
+        let mut initial: Vec<u32> = (0..n as u32)
+            .filter(|&i| waiting_on[i as usize] == 0)
+            .collect();
+        initial.sort_by_key(|&i| release_at(planned[i as usize], 0));
 
-        let mut clock = Time::ZERO;
-        let mut completed_transfers = 0usize;
-
-        struct EngineState {
-            links: Vec<LinkState>,
-            link_bytes: Vec<u64>,
-            link_busy: Vec<Time>,
-            intervals: Vec<BusyInterval>,
-            events: BinaryHeap<Reverse<(Time, u64, Event)>>,
-            seq: u64,
-            messages: u64,
-            record_intervals: bool,
-        }
-
-        impl EngineState {
-            /// Serve the highest-priority queued message if the link is
-            /// idle.
-            fn try_start(
-                &mut self,
-                link_id: LinkId,
-                now: Time,
-                cost_of: impl Fn(Message, LinkId) -> (Time, u64),
-            ) {
-                let ls = &mut self.links[link_id.index()];
-                if ls.busy_until <= now {
-                    if let Some(Reverse((_, msg))) = ls.pending.pop() {
-                        let (cost, bytes) = cost_of(msg, link_id);
-                        let done = now + cost;
-                        ls.busy_until = done;
-                        self.link_busy[link_id.index()] += cost;
-                        if self.record_intervals {
-                            self.intervals.push(BusyInterval {
-                                link: link_id,
-                                start: now,
-                                duration: cost,
-                                bytes,
-                            });
-                        }
-                        self.seq += 1;
-                        self.events
-                            .push(Reverse((done, self.seq, Event::Complete(msg, link_id))));
-                        self.messages += 1;
-                    }
-                }
-            }
-
-            fn push_event(&mut self, time: Time, event: Event) {
-                self.seq += 1;
-                self.events.push(Reverse((time, self.seq, event)));
-            }
-        }
-
-        let release_time = |msg: Message, ready: Time| -> Time {
-            if msg.hop == 0 {
-                planned[msg.transfer as usize].map_or(ready, |p| p.max(ready))
-            } else {
-                ready
-            }
-        };
-
-        // Per-message transmission cost: α + β·(count · chunk_size); under
-        // cut-through routing, hops after the first skip α.
-        let cut_through = self.config.route_model == RouteModel::CutThrough;
-        let cost_of = |msg: Message, link_id: LinkId| -> (Time, u64) {
-            let link = topo.link(link_id);
-            let payload = transfers[msg.transfer as usize].payload(chunk_size);
-            let full = link.cost(payload);
-            let cost = if cut_through && msg.hop > 0 {
-                full - link.spec().alpha()
-            } else {
-                full
-            };
-            (cost, payload.as_u64())
-        };
-
-        let mut engine = EngineState {
-            links: (0..topo.num_links())
-                .map(|_| LinkState {
-                    busy_until: Time::ZERO,
-                    pending: BinaryHeap::new(),
-                })
+        let num_links = topo.num_links();
+        Ok(Engine {
+            topo,
+            cut_through: route_model == RouteModel::CutThrough,
+            payload: transfers
+                .iter()
+                .map(|t| t.payload(algo.chunk_size()).as_u64())
                 .collect(),
-            link_bytes: vec![0u64; topo.num_links()],
-            link_busy: vec![Time::ZERO; topo.num_links()],
-            intervals: Vec::new(),
-            events: BinaryHeap::new(),
-            seq: 0,
-            messages: 0,
-            record_intervals: self.config.record_intervals,
-        };
+            planned,
+            waiting_on,
+            intervals: Vec::with_capacity(hop_link.len()),
+            hop_start,
+            hop_link,
+            dependent_start,
+            dependents,
+            busy_until: vec![0; num_links],
+            queue: (0..num_links).map(|_| BinaryHeap::new()).collect(),
+            released: 0,
+            initial,
+            next_initial: 0,
+            heap: BinaryHeap::new(),
+            created: 0,
+            due_now: VecDeque::new(),
+            now: 0,
+            link_bytes: vec![0; num_links],
+            link_busy: vec![Time::ZERO; num_links],
+        })
+    }
 
-        // Kick off every transfer whose dependencies are already satisfied.
-        for (i, &remaining) in deps_remaining.iter().enumerate() {
-            if remaining == 0 && !hops[i].is_empty() {
-                let msg = Message {
-                    transfer: i as u32,
-                    hop: 0,
-                };
-                engine.push_event(release_time(msg, Time::ZERO), Event::Release(msg));
-            }
-        }
-
-        while let Some(Reverse((time, _, event))) = engine.events.pop() {
-            clock = clock.max(time);
+    /// Runs every event and reports.
+    pub(crate) fn run(mut self, algo: &CollectiveAlgorithm) -> Result<SimReport, SimError> {
+        let mut completed = 0usize;
+        while let Some(event) = self.next_event() {
             match event {
-                Event::Release(msg) => {
-                    let link_id = hops[msg.transfer as usize][msg.hop as usize];
-                    engine.seq += 1;
-                    let prio: Priority = (
-                        planned[msg.transfer as usize].map_or(u64::MAX, Time::as_ps),
-                        time.as_ps(),
-                        engine.seq,
-                    );
-                    engine.links[link_id.index()]
-                        .pending
-                        .push(Reverse((prio, msg)));
-                    let payload = transfers[msg.transfer as usize].payload(chunk_size);
-                    engine.link_bytes[link_id.index()] += payload.as_u64();
-                    engine.try_start(link_id, time, cost_of);
-                }
-                Event::Complete(msg, link_id) => {
-                    let t_idx = msg.transfer as usize;
-                    if (msg.hop as usize) + 1 < hops[t_idx].len() {
-                        // Store-and-forward: next hop becomes ready now.
-                        let next = Message {
+                Event::Release(msg) => self.release(msg),
+                Event::Complete(msg) => {
+                    let t = msg.transfer as usize;
+                    if msg.hop + 1 < self.hop_start[t + 1] {
+                        // Store-and-forward: the next hop is ready now.
+                        self.due_now.push_back(Event::Release(Message {
                             transfer: msg.transfer,
                             hop: msg.hop + 1,
-                        };
-                        engine.push_event(time, Event::Release(next));
+                        }));
                     } else {
-                        // Transfer complete; release dependents.
-                        completed_transfers += 1;
-                        for d in std::mem::take(&mut dependents[t_idx]) {
-                            deps_remaining[d as usize] -= 1;
-                            if deps_remaining[d as usize] == 0 {
-                                let msg = Message {
-                                    transfer: d,
-                                    hop: 0,
-                                };
-                                engine.push_event(release_time(msg, time), Event::Release(msg));
+                        completed += 1;
+                        for k in self.dependent_start[t]..self.dependent_start[t + 1] {
+                            let d = self.dependents[k as usize];
+                            self.waiting_on[d as usize] -= 1;
+                            if self.waiting_on[d as usize] == 0 {
+                                let at = release_at(self.planned[d as usize], self.now);
+                                self.push(at, Event::Release(self.first_hop(d)));
                             }
                         }
                     }
                     // The link just freed up; serve the next queued message.
-                    engine.try_start(link_id, time, cost_of);
+                    self.serve(self.hop_link[msg.hop as usize] as usize);
                 }
             }
         }
-
         debug_assert_eq!(
-            completed_transfers,
-            transfers.len(),
-            "dependency deadlock: {} of {} transfers completed",
-            completed_transfers,
-            transfers.len()
+            completed,
+            algo.len(),
+            "dependency deadlock: {completed} of {} transfers completed",
+            algo.len()
         );
-
+        let messages = self.intervals.len() as u64;
         Ok(SimReport::new(
-            clock,
-            engine.link_bytes,
-            engine.link_busy,
-            engine.intervals,
-            engine.messages,
+            Time::from_ps(self.now),
+            self.link_bytes,
+            self.link_busy,
+            self.intervals,
+            messages,
             algo.total_size(),
         ))
+    }
+
+    /// The next event in (time, creation order), advancing the clock. At
+    /// equal times the initial releases were created first, then the
+    /// heap's events (created before the clock reached them), then those
+    /// due now (created at this instant).
+    fn next_event(&mut self) -> Option<Event> {
+        let heap_time = self.heap.peek().map(|Reverse((time, ..))| *time);
+        if let Some(&i) = self.initial.get(self.next_initial) {
+            let time = release_at(self.planned[i as usize], 0);
+            if heap_time.is_none_or(|h| time <= h) && (self.due_now.is_empty() || time == self.now)
+            {
+                self.next_initial += 1;
+                self.now = time;
+                return Some(Event::Release(self.first_hop(i)));
+            }
+        }
+        if let Some(time) = heap_time {
+            if self.due_now.is_empty() || time == self.now {
+                let Reverse((_, _, event)) = self.heap.pop().expect("peeked");
+                self.now = time;
+                return Some(event);
+            }
+        }
+        self.due_now.pop_front()
+    }
+
+    fn push(&mut self, time: u64, event: Event) {
+        if time == self.now {
+            self.due_now.push_back(event);
+        } else {
+            self.created += 1;
+            self.heap.push(Reverse((time, self.created, event)));
+        }
+    }
+
+    fn first_hop(&self, transfer: u32) -> Message {
+        Message {
+            transfer,
+            hop: self.hop_start[transfer as usize],
+        }
+    }
+
+    /// A message arrives at its hop's link: start it if the link is idle
+    /// with nobody waiting, otherwise queue it by planned start, then
+    /// release order.
+    fn release(&mut self, msg: Message) {
+        let l = self.hop_link[msg.hop as usize] as usize;
+        self.link_bytes[l] += self.payload[msg.transfer as usize];
+        if self.busy_until[l] <= self.now && self.queue[l].is_empty() {
+            self.start(msg, l);
+        } else {
+            self.released += 1;
+            let key = (self.planned[msg.transfer as usize], self.released, msg);
+            self.queue[l].push(Reverse(key));
+            self.serve(l);
+        }
+    }
+
+    /// Starts the link's best queued message if the link is idle.
+    fn serve(&mut self, l: usize) {
+        if self.busy_until[l] <= self.now {
+            if let Some(Reverse((_, _, msg))) = self.queue[l].pop() {
+                self.start(msg, l);
+            }
+        }
+    }
+
+    /// Transmits `msg` on link `l` from now: α + β·payload, where cut-through
+    /// routing skips α on every hop after the first.
+    fn start(&mut self, msg: Message, l: usize) {
+        let link = self.topo.link(LinkId::new(l as u32));
+        let bytes = self.payload[msg.transfer as usize];
+        let mut cost = link.cost(ByteSize::bytes(bytes));
+        if self.cut_through && msg.hop != self.hop_start[msg.transfer as usize] {
+            cost -= link.spec().alpha();
+        }
+        let done = self.now + cost.as_ps();
+        self.busy_until[l] = done;
+        self.link_busy[l] += cost;
+        self.intervals.push(BusyInterval {
+            link: LinkId::new(l as u32),
+            start: Time::from_ps(self.now),
+            duration: cost,
+            bytes,
+        });
+        self.push(done, Event::Complete(msg));
     }
 }
 
