@@ -146,3 +146,26 @@ fn values_the_daemon_and_the_scenario_loader_reject_are_usage_errors() {
         assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
     }
 }
+
+/// `--chunks` values whose chunk count fits a chunk id but whose
+/// (NPU, chunk) pairs exceed the documented bound are refused up front
+/// with the collective's own reason, for TACOS and for a baseline.
+#[test]
+fn chunks_over_the_pair_limit_are_a_usage_error() {
+    for algo in ["tacos", "ring"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tacos"))
+            .args(["--topology", "ring:8", "--chunks", "268435456"])
+            .args(["--algo", algo, "--json"])
+            .output()
+            .expect("tacos binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{algo}: {stderr}");
+        assert!(out.stdout.is_empty(), "{algo} printed a result");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert_eq!(
+            first,
+            "error: collective spans 17179869184 (NPU, chunk) pairs, over the limit of 33554432",
+            "{algo}"
+        );
+    }
+}

@@ -8,6 +8,19 @@ use crate::chunk::{ChunkId, ChunkSet};
 use crate::error::CollectiveError;
 use crate::pattern::CollectivePattern;
 
+/// The most (NPU, chunk) pairs — `num_npus × num_chunks` — a collective
+/// may span.
+///
+/// Synthesis keeps state per pair: a holds bit and a needs bit per NPU
+/// and chunk, plus, when recording, a 4-byte providing-transfer entry. A
+/// chunking factor arrives from a request line, a flag or a scenario
+/// axis, so without a bound `ring:8` with 2^28 chunks per NPU would ask
+/// for a 64 GB provider table before anything looked at it. 2^25 (about
+/// 33.6 M pairs, a 128 MiB provider table) is twice the largest
+/// legitimate case known: a 32×32 mesh with chunking factor 16, 16.8 M
+/// pairs.
+pub const MAX_NPU_CHUNK_PAIRS: u64 = 1 << 25;
+
 /// A collective communication to synthesize or execute: a pattern, a
 /// participant count, a payload size, and a chunking factor.
 ///
@@ -78,6 +91,13 @@ impl Collective {
                 chunks_per_npu,
             },
         )?;
+        let pairs = (num_npus as u64).saturating_mul(num_chunks as u64);
+        if pairs > MAX_NPU_CHUNK_PAIRS {
+            return Err(CollectiveError::TooLarge {
+                pairs,
+                limit: MAX_NPU_CHUNK_PAIRS,
+            });
+        }
         if total_size.as_u64() == 0 {
             return Err(CollectiveError::SizeNotDivisible {
                 size: 0,
@@ -182,6 +202,8 @@ impl Collective {
     /// * [`CollectiveError::ZeroChunks`] if `k == 0`.
     /// * [`CollectiveError::TooManyChunks`] if the chunk count does not
     ///   fit a chunk id.
+    /// * [`CollectiveError::TooLarge`] if `n` times the chunk count
+    ///   exceeds [`MAX_NPU_CHUNK_PAIRS`].
     /// * [`CollectiveError::RootOutOfRange`] for an invalid root.
     /// * [`CollectiveError::SizeNotDivisible`] for an empty payload.
     pub fn with_chunking(
@@ -515,10 +537,49 @@ mod tests {
                 "{pattern:?} over {num_npus} NPUs, k = {k}"
             );
         }
-        // The largest count a chunk id can number is still a collective.
+        // The largest count a chunk id can number passes this check and
+        // meets the size bound instead.
         let k = (u32::MAX / 5) as usize;
-        let c = Collective::with_chunking(CollectivePattern::AllGather, 5, k, size).unwrap();
-        assert_eq!(c.num_chunks(), u32::MAX as usize);
+        assert_eq!(
+            Collective::with_chunking(CollectivePattern::AllGather, 5, k, size),
+            Err(CollectiveError::TooLarge {
+                pairs: 5 * u64::from(u32::MAX),
+                limit: MAX_NPU_CHUNK_PAIRS
+            })
+        );
+    }
+
+    /// A chunk count that fits a chunk id can still ask for absurd
+    /// per-(NPU, chunk) state; the bound is inclusive and counts the
+    /// pattern's own chunk count.
+    #[test]
+    fn collectives_over_the_pair_limit_are_rejected_before_allocating() {
+        let size = ByteSize::mb(1);
+        let at = |pattern, n, k| Collective::with_chunking(pattern, n, k, size);
+        assert_eq!(
+            at(CollectivePattern::AllGather, 8, 1 << 28),
+            Err(CollectiveError::TooLarge {
+                pairs: 1 << 34,
+                limit: MAX_NPU_CHUNK_PAIRS
+            })
+        );
+        // 32 NPUs × 32·2^15 chunks is exactly the limit.
+        assert!(at(CollectivePattern::AllReduce, 32, 1 << 15).is_ok());
+        assert!(matches!(
+            at(CollectivePattern::AllReduce, 32, (1 << 15) + 1),
+            Err(CollectiveError::TooLarge { .. })
+        ));
+        // All-to-All numbers n²·k chunks; rooted patterns k.
+        assert!(at(CollectivePattern::AllToAll, 256, 1).is_ok());
+        assert!(matches!(
+            at(CollectivePattern::AllToAll, 512, 1),
+            Err(CollectiveError::TooLarge { pairs, .. }) if pairs == 1 << 27
+        ));
+        let root = NpuId::new(0);
+        assert!(at(CollectivePattern::Broadcast { root }, 4, 1 << 23).is_ok());
+        assert!(at(CollectivePattern::Broadcast { root }, 4, (1 << 23) + 1).is_err());
+        // The largest legitimate case known: a 32×32 mesh at k = 16.
+        assert!(at(CollectivePattern::AllGather, 1024, 16).is_ok());
     }
 
     #[test]

@@ -22,6 +22,15 @@ pub enum CollectiveError {
         /// The offending chunking factor.
         chunks_per_npu: usize,
     },
+    /// The collective spans more (NPU, chunk) pairs than
+    /// [`crate::MAX_NPU_CHUNK_PAIRS`]: synthesizing it would allocate
+    /// per-pair state no request should be able to ask for.
+    TooLarge {
+        /// `num_npus × num_chunks` of the requested collective.
+        pairs: u64,
+        /// The limit it exceeds.
+        limit: u64,
+    },
     /// A rooted collective referenced a root outside `0..num_npus`.
     RootOutOfRange {
         /// The offending root index.
@@ -59,6 +68,12 @@ impl fmt::Display for CollectiveError {
                     u32::MAX
                 )
             }
+            CollectiveError::TooLarge { pairs, limit } => {
+                write!(
+                    f,
+                    "collective spans {pairs} (NPU, chunk) pairs, over the limit of {limit}"
+                )
+            }
             CollectiveError::RootOutOfRange { root, num_npus } => {
                 write!(f, "root {root} out of range for {num_npus} NPUs")
             }
@@ -92,6 +107,14 @@ mod tests {
         }
         .to_string()
         .contains("chunking factor 2305843009213693952 over 8 NPUs"));
+        assert_eq!(
+            CollectiveError::TooLarge {
+                pairs: 1 << 34,
+                limit: 1 << 25
+            }
+            .to_string(),
+            "collective spans 17179869184 (NPU, chunk) pairs, over the limit of 33554432"
+        );
         assert!(CollectiveError::RootOutOfRange {
             root: 4,
             num_npus: 2

@@ -29,7 +29,7 @@ mod matrix;
 mod pattern;
 
 pub use chunk::{ChunkId, ChunkSet};
-pub use collective::Collective;
+pub use collective::{Collective, MAX_NPU_CHUNK_PAIRS};
 pub use error::CollectiveError;
 pub use matrix::ChunkMatrix;
 pub use pattern::{parse_pattern, CollectivePattern};

@@ -3,8 +3,8 @@
 //! One synthesis attempt needs a matching state (the SoA chunk matrix,
 //! the event-driven wake index and its per-NPU stale lists, the sorted
 //! round order, provider table), an expanding TEN (per-link costs, busy
-//! times, the arrival heap), and an arrival-event buffer. None of these
-//! depend on the seed — only on the topology/collective shape — so a
+//! times, the per-cost arrival FIFOs), and an arrival-event buffer. None
+//! of these depend on the seed — only on the topology/collective shape — so a
 //! best-of-N search or a scenario sweep re-allocating them per attempt
 //! spends a meaningful share of its time in the allocator.
 //! [`SynthesisScratch`] owns all of them and is rebuilt in place by each

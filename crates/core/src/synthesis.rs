@@ -44,7 +44,8 @@ impl SynthesisResult {
         self.collective_time
     }
 
-    /// Wall-clock time the synthesis took.
+    /// Wall-clock time the synthesis took (for a best-of-N search, the
+    /// whole search).
     pub fn synthesis_duration(&self) -> Duration {
         self.synthesis_duration
     }
@@ -139,9 +140,12 @@ impl Synthesizer {
     /// keep one [`SynthesisScratch`] per worker thread so repeated
     /// attempts reuse the matching matrix, TEN, and event buffers instead
     /// of reallocating them. Results are identical either way. When
-    /// [`SynthesizerConfig::attempts`] > 1 the best-of search runs on its
-    /// own worker threads, each with its own scratch, and `scratch` is
-    /// left untouched.
+    /// [`SynthesizerConfig::attempts`] > 1 the best-of search scores its
+    /// attempts unrecorded, on the calling thread (with `scratch`) and on
+    /// worker threads with their own scratch; when the config records
+    /// transfers, `scratch` then replays the winning seed with recording
+    /// on. [`SynthesisResult::synthesis_duration`] covers the whole
+    /// search.
     ///
     /// # Errors
     /// See [`Synthesizer::synthesize`].
@@ -158,10 +162,12 @@ impl Synthesizer {
             });
         }
         if self.config.attempts() == 1 {
-            self.synthesize_seeded_with(topo, collective, self.config.seed(), scratch)
-        } else {
-            crate::parallel::synthesize_best_of(self, topo, collective)
+            return self.synthesize_seeded_with(topo, collective, self.config.seed(), scratch);
         }
+        let started = Instant::now();
+        let mut result = crate::parallel::synthesize_best_of(self, topo, collective, scratch)?;
+        result.synthesis_duration = started.elapsed();
+        Ok(result)
     }
 
     /// One randomized synthesis with an explicit seed (deterministic).

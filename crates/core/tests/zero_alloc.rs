@@ -8,7 +8,8 @@
 //! chunks per NPU, i.e. ~8x the rounds and probes — so equal allocation
 //! counts mean the per-round / per-probe cost is exactly zero
 //! allocations; only per-synthesis setup (pre/postcondition sets, the
-//! result struct) touches the heap.
+//! result struct) touches the heap. A ring with three link costs gets the
+//! same check, so the TEN's per-cost queues are covered too.
 //!
 //! The recording path gets the analogous bound: with recording enabled,
 //! dependency lists live inline in each transfer (no per-transfer heap),
@@ -21,7 +22,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tacos_collective::{Collective, CollectivePattern};
 use tacos_core::{SynthesisScratch, Synthesizer, SynthesizerConfig};
-use tacos_topology::{Bandwidth, ByteSize, LinkSpec, RingOrientation, Time, Topology};
+use tacos_topology::{
+    Bandwidth, ByteSize, LinkSpec, NpuId, RingOrientation, Time, Topology, TopologyBuilder,
+};
 
 thread_local! {
     // Per-thread, so allocations from other harness threads (libtest
@@ -99,18 +102,47 @@ fn run_round_makes_zero_per_round_allocations() {
     let _serial = SERIAL.lock().unwrap();
     let spec = LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(50.0));
     let topo = Topology::ring(8, spec, RingOrientation::Unidirectional).unwrap();
-    let synth = Synthesizer::new(SynthesizerConfig::default().with_record_transfers(false));
+    assert_zero_per_round_allocations(&topo);
+}
 
+/// The same bound on a fabric with three link costs: the TEN's per-cost
+/// arrival FIFOs and their head index are sized once per reset, and
+/// cost-prioritized rounds sort in place.
+#[test]
+fn heterogeneous_rounds_make_zero_per_round_allocations() {
+    let _serial = SERIAL.lock().unwrap();
+    let tiers = [
+        LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(200.0)),
+        LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(100.0)),
+        LinkSpec::new(Time::from_micros(1.0), Bandwidth::gbps(50.0)),
+    ];
+    let mut b = TopologyBuilder::new("tiered-ring");
+    b.npus(8);
+    for i in 0..8u32 {
+        b.bidi_link(
+            NpuId::new(i),
+            NpuId::new((i + 1) % 8),
+            tiers[i as usize % 3],
+        );
+    }
+    let topo = b.build().unwrap();
+    assert!(!topo.is_homogeneous());
+    assert_zero_per_round_allocations(&topo);
+}
+
+fn assert_zero_per_round_allocations(topo: &Topology) {
+    let synth = Synthesizer::new(SynthesizerConfig::default().with_record_transfers(false));
+    let n = topo.num_npus();
     let measure = |chunks_per_npu: usize| -> (usize, u64) {
-        let coll = all_gather(8, chunks_per_npu);
+        let coll = all_gather(n, chunks_per_npu);
         let mut scratch = SynthesisScratch::new();
         // Warm the scratch: grows every buffer to this problem's shape.
         let warm = synth
-            .synthesize_seeded_with(&topo, &coll, 7, &mut scratch)
+            .synthesize_seeded_with(topo, &coll, 7, &mut scratch)
             .unwrap();
         let (result, allocs) = counted(|| {
             synth
-                .synthesize_seeded_with(&topo, &coll, 7, &mut scratch)
+                .synthesize_seeded_with(topo, &coll, 7, &mut scratch)
                 .unwrap()
         });
         assert_eq!(result.collective_time(), warm.collective_time());

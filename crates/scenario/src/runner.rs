@@ -1174,6 +1174,39 @@ cache = false
         }
     }
 
+    /// A chunks value that fits a chunk id but spans more (NPU, chunk)
+    /// pairs than the collective bound fails its points with the
+    /// collective's reason before anything is allocated.
+    #[test]
+    fn a_chunks_axis_value_over_the_pair_limit_fails_its_points_only() {
+        let spec = toml_spec(
+            r#"
+[scenario]
+name = "huge_chunks"
+[sweep]
+topology = ["ring:8"]
+collective = ["all-reduce"]
+size = ["1MB"]
+algo = ["tacos", "ring"]
+chunks = [268435456, 2]
+[run]
+cache = false
+"#,
+        );
+        let summary = run(&spec).unwrap();
+        assert_eq!(summary.records.len(), 4);
+        assert_eq!(summary.failed, 2);
+        for record in &summary.records {
+            match &record.result {
+                Ok(_) => assert_eq!(record.point.chunks, 2),
+                Err(e) => assert_eq!(
+                    e,
+                    "collective spans 17179869184 (NPU, chunk) pairs, over the limit of 33554432"
+                ),
+            }
+        }
+    }
+
     #[test]
     fn failure_axis_degrades_the_topology_per_point() {
         let spec = toml_spec(

@@ -255,3 +255,44 @@ fn repeated_keys_and_out_of_range_integers_get_a_typed_error() {
     assert_eq!(stats.resolved_shapes, 1, "{stats:?}");
     daemon.stop().unwrap();
 }
+
+/// A chunking factor whose chunk count fits a chunk id but whose
+/// (NPU, chunk) pairs are absurd — `ring:8` at 2^28 chunks per NPU would
+/// need a 64 GB provider table — is refused before anything is
+/// allocated, as a one-line typed error; a tacos mechanism override is
+/// bound the same way, and the connection and the worker both survive.
+#[test]
+fn a_collective_over_the_pair_limit_gets_a_typed_error() {
+    let daemon = spawn(DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::default()
+    });
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    let too_large = "(NPU, chunk) pairs, over the limit of 33554432";
+    for line in [
+        r#"{"topology":"ring:8","size":"1MB","chunks":268435456}"#,
+        r#"{"topology":"ring:8","size":"1MB","mechanism":"tacos:268435456"}"#,
+        r#"{"topology":"ring:8","size":"1MB","collective":"all-to-all","chunks":1048576}"#,
+    ] {
+        let response = client.call(line).unwrap();
+        assert_eq!(
+            response.get("status").and_then(Json::as_str),
+            Some("error"),
+            "{line}: {response}"
+        );
+        let reason = response
+            .get("reason")
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        assert!(reason.ends_with(too_large), "{line}: {reason}");
+        assert!(!reason.contains('\n'), "{line}: {reason}");
+    }
+    let ok = client
+        .call(r#"{"topology":"ring:8","size":"1MB","chunks":4}"#)
+        .unwrap();
+    assert_eq!(ok.get("status").and_then(Json::as_str), Some("ok"));
+    let stats = daemon.stats();
+    assert_eq!(stats.errors, 3, "{stats:?}");
+    assert_eq!(stats.worker_restarts, 0, "{stats:?}");
+    daemon.stop().unwrap();
+}

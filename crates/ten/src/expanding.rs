@@ -9,12 +9,39 @@
 //! * the current synthesis time `now`,
 //! * per-link `busy_until` (one chunk per link at a time — congestion
 //!   freedom),
-//! * a queue of pending arrival events.
+//! * the pending arrival events.
 //!
 //! On a homogeneous topology the event times degenerate to the uniform
-//! steps of the materialized TEN, which is unit-tested below.
+//! steps `k · cost` of the paper's materialized TEN (Fig. 7), which is
+//! unit-tested below.
+//!
+//! # The arrival queue: one FIFO per link cost
+//!
+//! A chunk matched onto link `l` at time `now` arrives at `now + cost(l)`,
+//! and `now` never decreases. So arrivals over links of the **same** cost
+//! are pushed in nondecreasing time order, and a plain FIFO pops them in
+//! time order with no sifting. [`ExpandingTen::reset`] groups the links
+//! into one class per distinct chunk cost, each with a FIFO. A small
+//! min-heap holds one `(head time, class)` entry per non-empty FIFO, and
+//! [`ExpandingTen::advance_into`] drains every class whose head is due at
+//! the heap's minimum.
+//!
+//! With `K` distinct costs, `occupy` is O(1) plus an O(log K) heap push
+//! when its class was empty, and a column costs O(log K) per class it
+//! drains plus O(1) per arrival. A uniform fabric is one class: the heap
+//! holds at most one entry. A fabric where every link has its own cost
+//! has one heap entry per chunk in flight, which is what a single
+//! `(time, link)` heap costs.
+//!
+//! Within one column, arrivals come out class by class rather than in
+//! link order. That order is unobservable: holdings are sets, and the
+//! matcher re-sorts its worklist every round. A test-only oracle
+//! (`oracle.rs`) queues every event in one `(time, link)` heap; a
+//! proptest checks `now`, `pending` and each column's arrival multiset
+//! against it.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
 use tacos_collective::ChunkId;
@@ -60,22 +87,22 @@ pub struct ExpandingTen {
     link_dst: Vec<NpuId>,
     busy_until: Vec<Time>,
     now: Time,
-    // Reverse-ordered min-heap of (time, link). Chunk/src/dst are looked up
-    // from `in_flight` on pop. Capacity is reserved for one in-flight chunk
-    // per link (the congestion-freedom maximum), so `occupy` never
-    // reallocates mid-synthesis. Used on heterogeneous fabrics only —
-    // uniform-cost fabrics take the `fifo` fast path below.
-    queue: BinaryHeap<Reverse<(Time, u32)>>,
-    // Uniform-cost fast path: with one shared link cost `c`, every occupy
-    // at time `t` arrives at `t + c`, and `now` is nondecreasing — so
-    // arrival times are nondecreasing in push order and a plain ring
-    // buffer pops them in correct time order with no heap sifting. Event
-    // order *within* one arrival column differs from the heap's, which is
-    // unobservable: holdings are sets and the matcher re-sorts its
-    // worklist every round (the determinism proptests pin this down).
-    fifo: VecDeque<(Time, u32)>,
+    // Cost class of each link: the rank of its chunk cost among the
+    // fabric's distinct costs.
+    link_class: Vec<u32>,
+    // The distinct chunk costs, ascending (index = class). `reset` sorts
+    // the link costs in place here, so regrouping allocates nothing.
+    class_cost: Vec<Time>,
+    // One arrival FIFO per class, `(arrival time, link)` in push order,
+    // which is time order (module docs). Each holds one slot per link of
+    // its class — the congestion-freedom maximum — so `occupy` never
+    // reallocates mid-synthesis.
+    fifos: Vec<VecDeque<(Time, u32)>>,
+    // Min-heap of `(head arrival time, class)`: exactly one entry per
+    // non-empty FIFO.
+    heads: BinaryHeap<Reverse<(Time, u32)>>,
     in_flight: Vec<Option<ChunkId>>,
-    uniform_cost: bool,
+    pending: usize,
 }
 
 impl ExpandingTen {
@@ -87,10 +114,12 @@ impl ExpandingTen {
             link_dst: Vec::new(),
             busy_until: Vec::new(),
             now: Time::ZERO,
-            queue: BinaryHeap::new(),
-            fifo: VecDeque::new(),
+            link_class: Vec::new(),
+            class_cost: Vec::new(),
+            fifos: Vec::new(),
+            heads: BinaryHeap::new(),
             in_flight: Vec::new(),
-            uniform_cost: true,
+            pending: 0,
         };
         ten.reset(topo, chunk_size);
         ten
@@ -112,19 +141,36 @@ impl ExpandingTen {
         self.busy_until.clear();
         self.busy_until.resize(links.len(), Time::ZERO);
         self.now = Time::ZERO;
-        self.queue.clear();
-        self.fifo.clear();
-        self.uniform_cost = self.link_cost.windows(2).all(|w| w[0] == w[1]);
-        // `reserve` ensures capacity >= len + additional; after `clear`
-        // the queues are empty, so this guarantees one slot per link in
-        // whichever queue this topology uses.
-        if self.uniform_cost {
-            self.fifo.reserve(links.len());
-        } else {
-            self.queue.reserve(links.len());
-        }
         self.in_flight.clear();
         self.in_flight.resize(links.len(), None);
+        self.pending = 0;
+
+        // Sorted costs: each run of equal costs is one class, and the
+        // run's length is the most chunks that class can have in flight.
+        self.class_cost.clear();
+        self.class_cost.extend_from_slice(&self.link_cost);
+        self.class_cost.sort_unstable();
+        let mut classes = 0;
+        for run in self.class_cost.chunk_by(|a, b| a == b) {
+            if classes == self.fifos.len() {
+                self.fifos.push(VecDeque::new());
+            }
+            let fifo = &mut self.fifos[classes];
+            fifo.clear();
+            // After `clear`, `reserve` guarantees capacity >= the run.
+            fifo.reserve(run.len());
+            classes += 1;
+        }
+        self.fifos.truncate(classes);
+        self.class_cost.dedup();
+        self.link_class.clear();
+        self.link_class.extend(self.link_cost.iter().map(|cost| {
+            self.class_cost
+                .binary_search(cost)
+                .expect("every link cost is one of the class costs") as u32
+        }));
+        self.heads.clear();
+        self.heads.reserve(classes);
     }
 
     /// The current synthesis time.
@@ -133,10 +179,10 @@ impl ExpandingTen {
     }
 
     /// `true` when every link has the same chunk cost (homogeneous
-    /// fabrics): cost-prioritized matching degenerates to a no-op sort the
-    /// caller can skip.
+    /// fabrics: one cost class): cost-prioritized matching degenerates to
+    /// a no-op sort the caller can skip.
     pub fn uniform_cost(&self) -> bool {
-        self.uniform_cost
+        self.fifos.len() <= 1
     }
 
     /// Transmission cost of one chunk over `link`.
@@ -164,17 +210,19 @@ impl ExpandingTen {
         let arrive = self.now + self.link_cost[idx];
         self.busy_until[idx] = arrive;
         self.in_flight[idx] = Some(chunk);
-        if self.uniform_cost {
-            self.fifo.push_back((arrive, link.raw()));
-        } else {
-            self.queue.push(Reverse((arrive, link.raw())));
+        let class = self.link_class[idx];
+        let fifo = &mut self.fifos[class as usize];
+        if fifo.is_empty() {
+            self.heads.push(Reverse((arrive, class)));
         }
+        fifo.push_back((arrive, link.raw()));
+        self.pending += 1;
         arrive
     }
 
     /// Number of chunks currently in flight.
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.fifo.len()
+        self.pending
     }
 
     /// Advances time to the next arrival instant and returns every arrival
@@ -192,45 +240,43 @@ impl ExpandingTen {
     /// empty if nothing is in flight.
     pub fn advance_into(&mut self, out: &mut Vec<Arrival>) {
         out.clear();
-        if self.uniform_cost {
-            let Some(&(t, _)) = self.fifo.front() else {
-                return;
-            };
-            self.now = t;
-            while let Some(&(time, link_raw)) = self.fifo.front() {
-                if time > t {
-                    break;
-                }
-                self.fifo.pop_front();
-                self.push_arrival(out, time, link_raw);
+        let Some(&Reverse((t, _))) = self.heads.peek() else {
+            return;
+        };
+        self.now = t;
+        while let Some(mut head) = self.heads.peek_mut() {
+            let Reverse((due, class)) = *head;
+            if due > t {
+                break;
             }
-        } else {
-            let Some(&Reverse((t, _))) = self.queue.peek() else {
-                return;
-            };
-            self.now = t;
-            while let Some(&Reverse((time, link_raw))) = self.queue.peek() {
+            let fifo = &mut self.fifos[class as usize];
+            while let Some(&(time, link_raw)) = fifo.front() {
                 if time > t {
                     break;
                 }
-                self.queue.pop();
-                self.push_arrival(out, time, link_raw);
+                fifo.pop_front();
+                let idx = link_raw as usize;
+                let chunk = self.in_flight[idx]
+                    .take()
+                    .expect("every queued arrival has an in-flight chunk");
+                out.push(Arrival {
+                    time,
+                    chunk,
+                    link: LinkId::new(link_raw),
+                    src: self.link_src[idx],
+                    dst: self.link_dst[idx],
+                });
+            }
+            // Re-key the class by its new head in place (one sift), or
+            // drop it once its FIFO is empty.
+            match fifo.front() {
+                Some(&(next, _)) => *head = Reverse((next, class)),
+                None => {
+                    PeekMut::pop(head);
+                }
             }
         }
-    }
-
-    fn push_arrival(&mut self, out: &mut Vec<Arrival>, time: Time, link_raw: u32) {
-        let idx = link_raw as usize;
-        let chunk = self.in_flight[idx]
-            .take()
-            .expect("every queued arrival has an in-flight chunk");
-        out.push(Arrival {
-            time,
-            chunk,
-            link: LinkId::new(link_raw),
-            src: self.link_src[idx],
-            dst: self.link_dst[idx],
-        });
+        self.pending -= out.len();
     }
 }
 
@@ -302,6 +348,29 @@ mod tests {
         assert_eq!(ten.now(), step * 2);
     }
 
+    /// Paper Fig. 7: the unidirectional 4-ring All-Gather matches every
+    /// TEN edge in each of its 3 uniform time spans, one column per span.
+    #[test]
+    fn fig7_ring_all_gather_fills_every_column() {
+        let spec = LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(50.0));
+        let ring =
+            Topology::ring(4, spec, tacos_topology::RingOrientation::Unidirectional).unwrap();
+        let step = spec.cost(ByteSize::mb(1));
+        let mut ten = ExpandingTen::new(&ring, ByteSize::mb(1));
+        for s in 0..3u32 {
+            assert_eq!(ten.now(), step * u64::from(s));
+            for l in 0..4u32 {
+                // At span s, NPU i forwards chunk (i - s) mod 4 to i + 1.
+                let link = ring.out_links(NpuId::new(l))[0];
+                ten.occupy(link, ChunkId::new((l + 4 - s) % 4));
+            }
+            let column = ten.advance();
+            assert_eq!(column.len(), 4, "span {s} uses every link");
+            assert!(column.iter().all(|a| a.time == step * u64::from(s + 1)));
+        }
+        assert_eq!(ten.pending(), 0);
+    }
+
     #[test]
     #[should_panic(expected = "is busy until")]
     fn double_occupy_panics() {
@@ -317,10 +386,12 @@ mod tests {
         let mut ten = ExpandingTen::new(&hetero, ByteSize::mb(1));
         assert!(!ten.uniform_cost());
         ten.occupy(LinkId::new(0), ChunkId::new(0));
+        ten.occupy(LinkId::new(2), ChunkId::new(1));
         ten.advance();
 
-        // Rebuild for a different (homogeneous) topology: time, busy
-        // state, and in-flight queue must all be back to zero.
+        // Rebuild for a different (homogeneous) topology while a chunk is
+        // still in flight: time, busy state, and every queue must all be
+        // back to zero.
         let spec = LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(50.0));
         let ring =
             Topology::ring(4, spec, tacos_topology::RingOrientation::Unidirectional).unwrap();
@@ -328,6 +399,7 @@ mod tests {
         assert!(ten.uniform_cost());
         assert_eq!(ten.now(), Time::ZERO);
         assert_eq!(ten.pending(), 0);
+        assert!(ten.advance().is_empty());
         for l in 0..4 {
             assert!(ten.is_free(LinkId::new(l)));
         }
@@ -366,5 +438,38 @@ mod tests {
         assert_eq!(events.len(), 2);
         let chunks: Vec<u32> = events.iter().map(|e| e.chunk.raw()).collect();
         assert!(chunks.contains(&0) && chunks.contains(&1));
+    }
+
+    /// Two classes due at once: one column drains both FIFOs, and a class
+    /// whose FIFO still holds a later arrival stays indexed by it.
+    #[test]
+    fn one_column_drains_every_class_due_then() {
+        // Chunk costs 10 us (fast) and 20 us (slow).
+        let fast = LinkSpec::new(Time::ZERO, Bandwidth::gbps(100.0));
+        let slow = LinkSpec::new(Time::ZERO, Bandwidth::gbps(50.0));
+        let mut b = TopologyBuilder::new("two-costs");
+        b.npus(3);
+        b.bidi_link(NpuId::new(0), NpuId::new(1), fast);
+        b.bidi_link(NpuId::new(0), NpuId::new(2), slow);
+        let topo = b.build().unwrap();
+        let us = Time::from_micros;
+        let mut ten = ExpandingTen::new(&topo, ByteSize::mb(1));
+        assert_eq!(ten.occupy(LinkId::new(2), ChunkId::new(0)), us(20.0));
+        assert_eq!(ten.occupy(LinkId::new(0), ChunkId::new(1)), us(10.0));
+        assert_eq!(ten.advance().len(), 1);
+        // At t = 10 the slow FIFO gets a second entry, due after the
+        // next column.
+        assert_eq!(ten.occupy(LinkId::new(3), ChunkId::new(2)), us(30.0));
+        assert_eq!(ten.occupy(LinkId::new(0), ChunkId::new(3)), us(20.0));
+        let events = ten.advance();
+        assert_eq!(ten.now(), us(20.0));
+        let mut links: Vec<u32> = events.iter().map(|e| e.link.raw()).collect();
+        links.sort_unstable();
+        assert_eq!(links, [0, 2]);
+        assert_eq!(ten.pending(), 1);
+        let events = ten.advance();
+        assert_eq!((ten.now(), events.len()), (us(30.0), 1));
+        assert_eq!(events[0].link, LinkId::new(3));
+        assert_eq!(ten.pending(), 0);
     }
 }

@@ -1,26 +1,18 @@
 //! # tacos-ten
 //!
-//! The Time-expanded Network (TEN) representation that TACOS brings to the
-//! distributed-ML domain (paper §IV-A/B, Figs. 6–7, 12).
-//!
-//! Two complementary forms:
-//!
-//! * [`TimeExpandedNetwork`] — the **materialized**, uniform-step TEN over a
-//!   homogeneous topology, including link–chunk occupancy. Used for
-//!   representing and visualizing collective algorithms (paper Fig. 7) and
-//!   by the TACCL-like baseline search.
-//! * [`ExpandingTen`] — the **event-driven** TEN over arbitrary
-//!   (heterogeneous) topologies. Time columns appear at chunk-arrival
-//!   events; per-link `busy_until` enforces the one-chunk-per-link
-//!   congestion-freedom invariant. This is the structure the synthesizer's
-//!   matching loop runs on.
+//! The Time-expanded Network (TEN) that TACOS brings to the
+//! distributed-ML domain (paper §IV-A/B, Figs. 6–7, 12), in the
+//! event-driven form the synthesizer's matching loop runs on:
+//! [`ExpandingTen`] works over arbitrary (heterogeneous) topologies. Time
+//! columns appear at chunk-arrival events; per-link `busy_until` enforces
+//! the one-chunk-per-link congestion-freedom invariant. On a homogeneous
+//! topology the columns fall on the uniform steps of the paper's
+//! materialized TEN (Fig. 7).
 
 #![warn(missing_docs)]
 
-mod error;
 mod expanding;
-mod materialized;
+#[cfg(test)]
+mod oracle;
 
-pub use error::TenError;
 pub use expanding::{Arrival, ExpandingTen};
-pub use materialized::{TenVertex, TimeExpandedNetwork};

@@ -13,9 +13,8 @@
 //!   Reduce-Scatter, All-Reduce, Broadcast, Reduce, …), the chunk model, and
 //!   the [`collective::algorithm::CollectiveAlgorithm`] IR shared by the
 //!   synthesizer, the baselines, and the simulator.
-//! * [`ten`] — the Time-expanded Network representation (paper §IV-A),
-//!   both as a materialized graph and as the event-driven expanding TEN
-//!   used during synthesis.
+//! * [`ten`] — the Time-expanded Network (paper §IV-A) in the
+//!   event-driven expanding form the synthesizer runs on.
 //! * [`synthesizer`] — the paper's contribution: utilization-maximizing
 //!   link–chunk matching (Alg. 1) and end-to-end synthesis (Alg. 2).
 //! * [`sim`] — the congestion-aware analytical network simulator used to
@@ -78,7 +77,6 @@ pub mod prelude {
     pub use tacos_core::{AlgorithmCache, SynthesisResult, Synthesizer, SynthesizerConfig};
     pub use tacos_scenario::ScenarioSpec;
     pub use tacos_sim::{SimConfig, SimReport, Simulator};
-    pub use tacos_ten::TimeExpandedNetwork;
     pub use tacos_topology::{
         Bandwidth, ByteSize, LinkId, LinkSpec, NpuId, Time, Topology, TopologyBuilder,
     };

@@ -220,7 +220,8 @@ fn facade_prelude_is_complete() {
         .simulate(&topo, result.algorithm())
         .unwrap();
     assert!(report.bandwidth_gbps() > 0.0);
-    let _ten: TimeExpandedNetwork = TimeExpandedNetwork::new(&topo, ByteSize::mb(1)).unwrap();
+    let ten = tacos::ten::ExpandingTen::new(&topo, ByteSize::mb(1));
+    assert!(ten.uniform_cost());
     let _ = SimConfig::default();
     let _ = SimReport::clone(&report);
     let _ = BaselineKind::Ring;
