@@ -23,12 +23,14 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// `n` requests with distinct cache keys, synthesized and baseline mixed.
+/// ring:4 is uniform, so TACOS sizes share a cost shape: the seed keeps
+/// each TACOS key distinct.
 fn requests(n: usize) -> Vec<String> {
     (1..=n)
         .map(|mb| {
             let mechanism = if mb % 2 == 0 { "ring" } else { "tacos" };
             format!(
-                r#"{{"id":{mb},"topology":"ring:4","collective":"all-gather","size":"{mb}MB","mechanism":"{mechanism}"}}"#
+                r#"{{"id":{mb},"topology":"ring:4","collective":"all-gather","size":"{mb}MB","mechanism":"{mechanism}","seed":{mb}}}"#
             )
         })
         .collect()

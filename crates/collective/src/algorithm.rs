@@ -477,6 +477,50 @@ impl CollectiveAlgorithm {
         }
     }
 
+    /// Re-expresses, in place, a schedule whose times are multiples of the
+    /// cost quantum `from` at the quantum `to`: every start, duration and
+    /// the planned time `t` becomes `t / from × to`, and the chunk and
+    /// total sizes become the given ones. A TACOS schedule's times are
+    /// sums of link costs, so when the target's per-link costs are the
+    /// schedule's scaled by `to / from` this is exactly the schedule
+    /// synthesis would produce for the target (see
+    /// `tacos_core::AlgorithmCache`).
+    ///
+    /// # Errors
+    /// Names the first time `from` does not divide, or whose scaled value
+    /// overflows; the schedule is then partly rescaled and must be
+    /// dropped.
+    pub fn rescale(
+        &mut self,
+        from: u64,
+        to: u64,
+        chunk_size: ByteSize,
+        total_size: ByteSize,
+    ) -> Result<(), String> {
+        self.chunk_size = chunk_size;
+        self.total_size = total_size;
+        if from == to {
+            return Ok(());
+        }
+        let scale = |ps: u64| {
+            rescale_time(Time::from_ps(ps), from, to)
+                .map(Time::as_ps)
+                .filter(|&scaled| scaled != NO_TIME_PS)
+                .ok_or_else(|| format!("{ps} ps does not rescale from quantum {from} to {to}"))
+        };
+        for t in &mut self.transfers {
+            for ps in [&mut t.start_ps, &mut t.duration_ps] {
+                if *ps != NO_TIME_PS {
+                    *ps = scale(*ps)?;
+                }
+            }
+        }
+        if let Some(planned) = self.planned_time {
+            self.planned_time = Some(Time::from_ps(scale(planned.as_ps())?));
+        }
+        Ok(())
+    }
+
     /// Achieved collective bandwidth for a completion time: `total_size /
     /// time` (the paper's "All-Reduce bandwidth" metric, §III-A).
     pub fn bandwidth_for(total_size: ByteSize, time: Time) -> f64 {
@@ -486,6 +530,21 @@ impl CollectiveAlgorithm {
             total_size.as_u64() as f64 / time.as_secs_f64()
         }
     }
+}
+
+/// `time / from × to`: a time measured in quantum `from` re-expressed in
+/// quantum `to` ([`CollectiveAlgorithm::rescale`] for one time). `time`
+/// itself when the quanta are equal; `None` when `from` does not divide
+/// `time` or the product overflows.
+pub fn rescale_time(time: Time, from: u64, to: u64) -> Option<Time> {
+    if from == to {
+        return Some(time);
+    }
+    let ps = time.as_ps();
+    if from == 0 || !ps.is_multiple_of(from) {
+        return None;
+    }
+    (ps / from).checked_mul(to).map(Time::from_ps)
 }
 
 impl fmt::Display for CollectiveAlgorithm {
@@ -918,6 +977,38 @@ mod tests {
             DepList::from([TransferId::new(1), TransferId::new(2)]).len(),
             2
         );
+    }
+
+    #[test]
+    fn rescale_is_exact_or_refused() {
+        // Quantum 5 → 7: every time is a multiple of 5, so each maps
+        // exactly, and the sizes become the target's.
+        let mut a = scheduled_pair();
+        a.rescale(5, 7, ByteSize::kb(7), ByteSize::kb(21)).unwrap();
+        let times: Vec<_> = a.transfers().iter().map(|t| (t.start(), t.end())).collect();
+        let ps = |v| Some(Time::from_ps(v));
+        assert_eq!(times, [(ps(0), ps(14)), (ps(14), ps(28))]);
+        assert_eq!(a.planned_time(), ps(28));
+        assert_eq!(
+            (a.chunk_size(), a.total_size()),
+            (ByteSize::kb(7), ByteSize::kb(21))
+        );
+        // Equal quanta only re-size.
+        let mut same = scheduled_pair();
+        same.rescale(3, 3, ByteSize::kb(2), ByteSize::kb(6))
+            .unwrap();
+        assert_eq!(same.collective_time(), Time::from_ps(20));
+        assert_eq!(same.chunk_size(), ByteSize::kb(2));
+        // A time the source quantum does not divide, and a product that
+        // overflows, are refused rather than rounded or wrapped.
+        assert!(scheduled_pair()
+            .rescale(3, 7, ByteSize::kb(1), ByteSize::kb(3))
+            .is_err());
+        assert!(scheduled_pair()
+            .rescale(1, u64::MAX, ByteSize::kb(1), ByteSize::kb(3))
+            .is_err());
+        assert_eq!(rescale_time(Time::from_ps(9), 3, 3), Some(Time::from_ps(9)));
+        assert_eq!(rescale_time(Time::from_ps(9), 0, 3), None);
     }
 
     #[test]

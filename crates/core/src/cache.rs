@@ -8,17 +8,52 @@
 //! [`AlgorithmCache::key_with_tag`] for TACOS syntheses,
 //! [`AlgorithmCache::key_for_generator`] for generators without a
 //! synthesizer configuration (the baselines). Lookups go through
-//! [`AlgorithmCache::load`] / [`AlgorithmCache::store`] or the combined
-//! [`AlgorithmCache::load_or_insert_with`]; which key a mechanism gets,
-//! and when it is consulted, is decided in one place —
+//! [`AlgorithmCache::load`] / [`AlgorithmCache::store`]; which key a
+//! mechanism gets, and when it is consulted, is decided in one place —
 //! `tacos-workload`'s evaluation pipeline.
+//!
+//! # One schedule per cost shape
+//!
+//! A TACOS key does not hold α, β or the collective's size. It holds the
+//! **cost shape**: the links, the per-link chunk costs
+//! (`link.cost(chunk_size)`, the values `ExpandingTen::reset` computes)
+//! divided by their gcd — the cost quantum `g`
+//! ([`AlgorithmCache::cost_quantum`]) — the pattern and its root, the NPU
+//! count, the chunks per NPU, and the search settings. Two requests with
+//! proportional cost vectors share a key, and the schedule stored under
+//! it is exactly the other's with every time `t` replaced by
+//! `t / g × g'` (`CollectiveAlgorithm::rescale`). That is exact because
+//! the matcher reads costs in only three places:
+//!
+//! - TEN arrival times, `now + cost`: every TEN time is a sum of link
+//!   costs, so a multiple of `g`;
+//! - the cheap-link-first sort key (`ten.link_cost`), which compares
+//!   costs;
+//! - `uniform_cost()`, which asks whether the costs are all equal.
+//!
+//! Best-of-N compares `(time, attempt)`. Reduce-Scatter's time reversal
+//! (`T − e`) and All-Reduce's Reduce-Scatter + All-Gather concatenation
+//! are affine in time. Scaling every cost by λ > 0 keeps every
+//! comparison and every tie, so the event order and every matching
+//! decision are unchanged. On a uniform fabric (mesh, torus, hypercube,
+//! switch, ring) the reduced vector is all ones, so every size and every
+//! uniform link spec shares one schedule; a tiered fabric with α > 0
+//! (dragonfly, rfs) has a different reduced vector at each size and keeps
+//! a key per size. An all-zero cost vector has quantum 1.
+//!
+//! A stored schedule stays concrete: it is the schedule for the size and
+//! link spec that stored it, with that size's chunk and total sizes, so
+//! every reader rescales from the quantum it was synthesized at
+//! ([`AlgorithmCache::stored_quantum`]) to its own.
+//! Baseline keys ([`AlgorithmCache::key_for_generator`]) keep the exact
+//! α, β and size: a simulated time is not a sum of link costs.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use tacos_collective::algorithm::CollectiveAlgorithm;
 use tacos_collective::{export, Collective};
-use tacos_topology::Topology;
+use tacos_topology::{ByteSize, Topology};
 
 use crate::synthesis::Synthesizer;
 
@@ -29,12 +64,16 @@ use crate::synthesis::Synthesizer;
 /// 3 = event-driven matching's round RNG protocol: a round draws one salt
 /// and sorts the worklist by salted hash instead of shuffling it, so
 /// seeded schedules differ from version 2 (see PERF.md).
+/// 4 = cost-shape keys: a synthesis is keyed by its gcd-reduced per-link
+/// cost vector instead of α, β and size, and an entry is rescaled on
+/// read, so an entry means a different thing than under version 3 (see
+/// the module docs).
 ///
 /// Public because persisted cache containers record it in their headers
 /// (see [`crate::WarmCache`]): a snapshot written by a different matcher
 /// revision is rejected wholesale at load with a readable error instead
 /// of being carried as unreachable dead weight.
-pub const MATCHER_VERSION: u64 = 3;
+pub const MATCHER_VERSION: u64 = 4;
 
 /// A directory of cached `.tacos` schedules.
 ///
@@ -50,10 +89,15 @@ pub const MATCHER_VERSION: u64 = 3;
 /// let cache = AlgorithmCache::new(".tacos-cache")?;
 /// let synth = Synthesizer::new(SynthesizerConfig::default());
 /// let key = AlgorithmCache::key_with_tag("tacos", &synth, &topo, &coll);
-/// // First call synthesizes and stores; later calls load from disk.
-/// let (algo, _outcome) = cache.load_or_insert_with(&key, || {
-///     synth.synthesize(&topo, &coll).map(|r| r.into_algorithm())
-/// })?;
+/// // The first run synthesizes and stores; later runs load from disk.
+/// let algo = match cache.load(&key) {
+///     Some(algo) => algo,
+///     None => {
+///         let algo = synth.synthesize(&topo, &coll)?.into_algorithm();
+///         cache.store(&key, &algo)?;
+///         algo
+///     }
+/// };
 /// # let _ = algo;
 /// # Ok(())
 /// # }
@@ -65,7 +109,7 @@ pub struct AlgorithmCache {
 
 /// Whether a cached lookup was served from disk or freshly generated.
 ///
-/// Returned by [`AlgorithmCache::load_or_insert_with`] so callers (e.g.
+/// Reported by `tacos-workload`'s evaluation pipeline so callers (e.g.
 /// the scenario runner's resumability accounting) can distinguish
 /// incremental re-runs from cold synthesis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,11 +137,14 @@ impl AlgorithmCache {
         &self.dir
     }
 
-    /// Structural fingerprint of (topology, collective, synthesizer
-    /// config): FNV-1a over every link's endpoints and α–β parameters,
-    /// the collective's shape, and the search settings — namespaced by an
-    /// algorithm tag (`"tacos"` for syntheses) so other generators can
-    /// share the same cache directory without key collisions.
+    /// Structural fingerprint of a TACOS synthesis: FNV-1a over its cost
+    /// shape — every link's endpoints and gcd-reduced chunk cost, the
+    /// collective's shape without its size — and the search settings,
+    /// namespaced by an algorithm tag (`"tacos"` for syntheses) so other
+    /// generators can share the same cache directory without key
+    /// collisions. Requests whose cost vectors are proportional share a
+    /// key; the entry under it is the schedule at the size that stored
+    /// it, for the reader to rescale (module docs).
     pub fn key_with_tag(
         tag: &str,
         synth: &Synthesizer,
@@ -111,7 +158,14 @@ impl AlgorithmCache {
         // miss, not serve schedules the current matcher would not emit.
         h.write_u64(MATCHER_VERSION);
         h.write_bytes(tag.as_bytes());
-        write_inputs(&mut h, topo, collective);
+        h.write_u64(topo.num_npus() as u64);
+        let chunk = collective.chunk_size();
+        let quantum = Self::cost_quantum(topo, chunk);
+        for link in topo.links() {
+            h.write_u64(u64::from(link.src().raw()) << 32 | u64::from(link.dst().raw()));
+            h.write_u64(link.cost(chunk).as_ps() / quantum);
+        }
+        write_shape(&mut h, collective);
         let config = synth.config();
         h.write_u64(config.seed());
         h.write_u64(config.attempts() as u64);
@@ -121,6 +175,17 @@ impl AlgorithmCache {
             collective.pattern().short_name(),
             h.finish()
         )
+    }
+
+    /// The cost quantum of `chunk_size` on `topo`: the gcd, in
+    /// picoseconds, of every link's cost for one chunk — 1 when every
+    /// cost is 0. Every time in a TACOS schedule at that chunk size is a
+    /// multiple of it.
+    pub fn cost_quantum(topo: &Topology, chunk_size: ByteSize) -> u64 {
+        topo.links()
+            .iter()
+            .fold(0, |g, link| gcd(g, link.cost(chunk_size).as_ps()))
+            .max(1)
     }
 
     /// A fingerprint for algorithm generators that have no synthesizer
@@ -140,13 +205,42 @@ impl AlgorithmCache {
         // tracks, so their persisted entries must roll over with it too.
         h.write_u64(MATCHER_VERSION);
         h.write_bytes(tag.as_bytes());
-        write_inputs(&mut h, topo, collective);
+        h.write_u64(topo.num_npus() as u64);
+        for link in topo.links() {
+            h.write_u64(u64::from(link.src().raw()) << 32 | u64::from(link.dst().raw()));
+            h.write_u64(link.spec().alpha().as_ps());
+            h.write_u64(link.spec().bandwidth().as_bytes_per_sec().to_bits());
+        }
+        write_shape(&mut h, collective);
+        h.write_u64(collective.total_size().as_u64());
         h.write_u64(salt);
         format!(
             "{tag}-{}-{:016x}",
             collective.pattern().short_name(),
             h.finish()
         )
+    }
+
+    /// The cost quantum a TACOS schedule read from under a key of
+    /// `topo`'s cost shape was synthesized at. One key's entry may come
+    /// from another link spec as well as another size, so this is read
+    /// off the schedule, not derived from its chunk size: a transfer's
+    /// duration is its link's cost, which is the link's reduced cost times
+    /// the quantum. 1 when no transfer crosses a link of nonzero cost
+    /// (every time is then 0); `None` when the first one that does is not
+    /// a whole multiple of its reduced cost.
+    pub fn stored_quantum(topo: &Topology, algo: &CollectiveAlgorithm) -> Option<u64> {
+        let chunk = algo.chunk_size();
+        let quantum = Self::cost_quantum(topo, chunk);
+        let costed = algo.transfers().iter().find_map(|t| {
+            let reduced = topo.links().get(t.link()?.index())?.cost(chunk).as_ps() / quantum;
+            (reduced > 0).then_some((t, reduced))
+        });
+        let Some((transfer, reduced)) = costed else {
+            return Some(1);
+        };
+        let duration = transfer.duration()?.as_ps();
+        duration.is_multiple_of(reduced).then(|| duration / reduced)
     }
 
     fn path_for(&self, key: &str) -> PathBuf {
@@ -194,46 +288,24 @@ impl AlgorithmCache {
         }
         result
     }
-
-    /// The cache entry point: loads `key` if present, otherwise calls
-    /// `generate`, stores its output, and reports [`CacheOutcome::Miss`].
-    ///
-    /// The error type is the generator's own — this is what lets the
-    /// scenario runner cache baseline generators (whose errors are not
-    /// [`SynthesisError`]) alongside TACOS syntheses.
-    ///
-    /// # Errors
-    /// Propagates `generate`'s error; storage failures are swallowed.
-    pub fn load_or_insert_with<E>(
-        &self,
-        key: &str,
-        generate: impl FnOnce() -> Result<CollectiveAlgorithm, E>,
-    ) -> Result<(CollectiveAlgorithm, CacheOutcome), E> {
-        if let Some(algo) = self.load(key) {
-            return Ok((algo, CacheOutcome::Hit));
-        }
-        let algo = generate()?;
-        let _ = self.store(key, &algo);
-        Ok((algo, CacheOutcome::Miss))
-    }
 }
 
-/// Hashes the structural inputs common to every cache key: each link's
-/// endpoints and α–β parameters, and the collective's shape.
-fn write_inputs(h: &mut Fnv, topo: &Topology, collective: &Collective) {
-    h.write_u64(topo.num_npus() as u64);
-    for link in topo.links() {
-        h.write_u64(u64::from(link.src().raw()) << 32 | u64::from(link.dst().raw()));
-        h.write_u64(link.spec().alpha().as_ps());
-        h.write_u64(link.spec().bandwidth().as_bytes_per_sec().to_bits());
-    }
+/// Hashes the collective's shape, which every key holds: the pattern
+/// and its root, the NPU count and the chunks per NPU.
+fn write_shape(h: &mut Fnv, collective: &Collective) {
     h.write_bytes(collective.pattern().short_name().as_bytes());
     if let Some(root) = collective.pattern().root() {
         h.write_u64(u64::from(root.raw()));
     }
     h.write_u64(collective.num_npus() as u64);
     h.write_u64(collective.chunks_per_npu() as u64);
-    h.write_u64(collective.total_size().as_u64());
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 /// Minimal FNV-1a, enough for cache fingerprints (not cryptographic).
@@ -273,7 +345,7 @@ pub(crate) const MALFORMED_LINES: [&str; 5] = [
 mod tests {
     use super::*;
     use crate::SynthesizerConfig;
-    use tacos_topology::{Bandwidth, ByteSize, LinkSpec, Time};
+    use tacos_topology::{parse_topology, Bandwidth, LinkSpec, Time};
 
     fn setup() -> (Topology, Collective, Synthesizer) {
         let spec = LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(50.0));
@@ -293,11 +365,13 @@ mod tests {
         topo: &Topology,
         coll: &Collective,
     ) -> (CollectiveAlgorithm, CacheOutcome) {
-        cache
-            .load_or_insert_with(&key(synth, topo, coll), || {
-                synth.synthesize(topo, coll).map(|r| r.into_algorithm())
-            })
-            .unwrap()
+        let k = key(synth, topo, coll);
+        if let Some(algo) = cache.load(&k) {
+            return (algo, CacheOutcome::Hit);
+        }
+        let algo = synth.synthesize(topo, coll).unwrap().into_algorithm();
+        cache.store(&k, &algo).unwrap();
+        (algo, CacheOutcome::Miss)
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -331,9 +405,22 @@ mod tests {
         // Different seed, different key.
         let synth2 = Synthesizer::new(SynthesizerConfig::default().with_seed(5));
         assert_ne!(base, key(&synth2, &topo, &coll));
-        // Different size, different key.
+        // A uniform fabric's reduced cost vector is all ones at every size
+        // and every link spec: same key.
         let coll2 = Collective::all_gather(9, ByteSize::mb(18)).unwrap();
-        assert_ne!(base, key(&synth, &topo, &coll2));
+        assert_eq!(base, key(&synth, &topo, &coll2));
+        let slower = LinkSpec::new(Time::from_micros(2.0), Bandwidth::gbps(25.0));
+        let relinked = Topology::mesh_2d(3, 3, slower).unwrap();
+        assert_eq!(base, key(&synth, &relinked, &coll));
+        // A tiered fabric with α > 0 is not proportional across sizes:
+        // different size, different key.
+        let spec = LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(50.0));
+        let tiered = parse_topology("dragonfly:3x3", spec).unwrap();
+        assert_ne!(
+            key(&synth, &tiered, &coll),
+            key(&synth, &tiered, &coll2),
+            "α > 0 on a tiered fabric"
+        );
         // Different topology (one link removed), different key.
         let degraded = topo.without_link(tacos_topology::LinkId::new(0));
         assert_ne!(base, key(&synth, &degraded, &coll));

@@ -92,13 +92,18 @@ const TRANSFER_BYTES: u64 = 72;
 /// One warm entry: the schedule plus the completion time the daemon
 /// measured for it (planned time for syntheses, simulated time for
 /// baselines) — kept so a warm hit re-serves the time without
-/// re-simulating.
+/// re-simulating — and the cost quantum it was generated at, so a hit
+/// whose request has the same cost shape at another quantum rescales it
+/// (see [`crate::AlgorithmCache`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmEntry {
     /// Evaluated collective completion time.
     pub time: Time,
     /// The cached algorithm.
     pub algo: CollectiveAlgorithm,
+    /// [`crate::AlgorithmCache::cost_quantum`] of the chunk size `algo`
+    /// was generated at.
+    pub quantum: u64,
 }
 
 /// Residency bounds for a [`WarmCache`]. Zero means unbounded — the
@@ -314,16 +319,19 @@ fn crc32(parts: &[&[u8]]) -> u32 {
     !crc
 }
 
-/// The per-entry checksum: CRC-32 of `"<key> <time_ps> <compact>"` — the
-/// header fields a bit flip could silently alter plus the compact
-/// schedule text. The byte-length field is implicitly covered — a wrong
-/// length mis-splits the record and the checksum cannot match.
-fn entry_crc(key: &str, time_ps: u64, compact: &str) -> u32 {
+/// The per-entry checksum: CRC-32 of `"<key> <time_ps> <quantum>
+/// <compact>"` — the header fields a bit flip could silently alter plus
+/// the compact schedule text. The byte-length field is implicitly covered
+/// — a wrong length mis-splits the record and the checksum cannot match.
+fn entry_crc(key: &str, time_ps: u64, quantum: u64, compact: &str) -> u32 {
     let time = time_ps.to_string();
+    let quantum = quantum.to_string();
     crc32(&[
         key.as_bytes(),
         b" ",
         time.as_bytes(),
+        b" ",
+        quantum.as_bytes(),
         b" ",
         compact.as_bytes(),
     ])
@@ -565,11 +573,14 @@ impl WarmCache {
     /// tacos-warm-cache v2
     /// matcher <MATCHER_VERSION>
     /// entries <count>
-    /// <key> <time_ps> <compact-byte-length> <crc32-hex>
+    /// <key> <time_ps> <compact-byte-length> <crc32-hex> <quantum>
     /// <compact algorithm text, exactly that many bytes>
     /// ...
     /// end <count>
     /// ```
+    ///
+    /// The `<quantum>` field arrived with matcher version 4; the matcher
+    /// line rejects every older snapshot before its first record.
     fn write_snapshot(&self, out: &mut impl Write) -> io::Result<usize> {
         let resident = self.collect_sorted();
         writeln!(out, "{SNAPSHOT_MAGIC}")?;
@@ -577,9 +588,9 @@ impl WarmCache {
         writeln!(out, "entries {}", resident.len())?;
         for (key, entry) in &resident {
             let compact = export::to_compact(&entry.algo);
-            let time_ps = entry.time.as_ps();
-            let crc = entry_crc(key, time_ps, &compact);
-            writeln!(out, "{key} {time_ps} {} {crc:08x}", compact.len())?;
+            let (time_ps, quantum) = (entry.time.as_ps(), entry.quantum);
+            let crc = entry_crc(key, time_ps, quantum, &compact);
+            writeln!(out, "{key} {time_ps} {} {crc:08x} {quantum}", compact.len())?;
             out.write_all(compact.as_bytes())?;
         }
         writeln!(out, "end {}", resident.len())?;
@@ -738,23 +749,28 @@ impl WarmCache {
             // One entry: parse the header line, slice the compact text,
             // verify the checksum. Any failure tears the file here; the
             // prefix already inserted stays.
-            let torn = (|| -> Result<(String, u64, &str), String> {
+            let torn = (|| -> Result<(String, u64, u64, &str), String> {
                 let header =
                     next_line(&mut rest).ok_or_else(|| format!("entry {i}: truncated header"))?;
-                let mut parts = header.split(' ');
-                let (key, time_ps, len, crc) =
-                    match (parts.next(), parts.next(), parts.next(), parts.next()) {
-                        (Some(k), Some(t), Some(l), Some(c)) if parts.next().is_none() => (
-                            k.to_string(),
-                            t.parse::<u64>()
-                                .map_err(|e| format!("entry {i}: time '{t}': {e}"))?,
-                            l.parse::<usize>()
-                                .map_err(|e| format!("entry {i}: length '{l}': {e}"))?,
-                            u32::from_str_radix(c, 16)
-                                .map_err(|e| format!("entry {i}: crc '{c}': {e}"))?,
-                        ),
-                        _ => return Err(format!("entry {i}: bad header '{header}'")),
-                    };
+                let mut fields = header.split(' ');
+                let mut field = || fields.next();
+                let (Some(key), Some(t), Some(l), Some(c), Some(q), None) =
+                    (field(), field(), field(), field(), field(), field())
+                else {
+                    return Err(format!("entry {i}: bad header '{header}'"));
+                };
+                let key = key.to_string();
+                let time_ps = t
+                    .parse::<u64>()
+                    .map_err(|e| format!("entry {i}: time '{t}': {e}"))?;
+                let len = l
+                    .parse::<usize>()
+                    .map_err(|e| format!("entry {i}: length '{l}': {e}"))?;
+                let crc =
+                    u32::from_str_radix(c, 16).map_err(|e| format!("entry {i}: crc '{c}': {e}"))?;
+                let quantum = q
+                    .parse::<u64>()
+                    .map_err(|e| format!("entry {i}: quantum '{q}': {e}"))?;
                 if len > rest.len() {
                     return Err(format!(
                         "entry {i} ('{key}') claims {len} bytes but only {} remain",
@@ -765,20 +781,21 @@ impl WarmCache {
                     return Err(format!("entry {i} ('{key}') splits a character"));
                 }
                 let (compact, after) = rest.split_at(len);
-                if entry_crc(&key, time_ps, compact) != crc {
+                if entry_crc(&key, time_ps, quantum, compact) != crc {
                     return Err(format!("entry {i} ('{key}') failed its CRC32 check"));
                 }
                 rest = after;
-                Ok((key, time_ps, compact))
+                Ok((key, time_ps, quantum, compact))
             })();
             match torn {
-                Ok((key, time_ps, compact)) => match export::from_compact(compact) {
+                Ok((key, time_ps, quantum, compact)) => match export::from_compact(compact) {
                     Ok(algo) => {
                         cache.insert(
                             key,
                             WarmEntry {
                                 time: Time::from_ps(time_ps),
                                 algo,
+                                quantum,
                             },
                         );
                         loaded += 1;
@@ -844,6 +861,7 @@ mod tests {
         WarmEntry {
             time: Time::from_ps(ps),
             algo: algo(),
+            quantum: 1,
         }
     }
 
@@ -876,9 +894,12 @@ mod tests {
         );
         for (key, entry) in &resident {
             let compact = export::to_compact(&entry.algo);
-            let time_ps = entry.time.as_ps();
-            let crc = crc32_bitwise(format!("{key} {time_ps} {compact}").as_bytes());
-            out.push_str(&format!("{key} {time_ps} {} {crc:08x}\n", compact.len()));
+            let (time_ps, quantum) = (entry.time.as_ps(), entry.quantum);
+            let crc = crc32_bitwise(format!("{key} {time_ps} {quantum} {compact}").as_bytes());
+            out.push_str(&format!(
+                "{key} {time_ps} {} {crc:08x} {quantum}\n",
+                compact.len()
+            ));
             out.push_str(&compact);
         }
         out.push_str(&format!("end {}\n", resident.len()));
@@ -979,6 +1000,7 @@ mod tests {
             WarmEntry {
                 time: Time::from_ps(1234),
                 algo: a.clone(),
+                quantum: 61_000,
             },
         );
         cache.insert(
@@ -986,6 +1008,7 @@ mod tests {
             WarmEntry {
                 time: Time::from_ps(99),
                 algo: a.clone(),
+                quantum: 1,
             },
         );
         let path = temp("rt");
@@ -1000,6 +1023,7 @@ mod tests {
         let entry = back.get("tacos-ag-0001").unwrap();
         assert_eq!(entry.time, Time::from_ps(1234));
         assert_eq!(entry.algo, a);
+        assert_eq!(entry.quantum, 61_000);
         assert!(back.get("missing").is_none());
         assert_eq!(back.hits(), 1);
         assert_eq!(back.misses(), 1);
@@ -1060,15 +1084,15 @@ mod tests {
             (
                 "truncated-entry",
                 format!(
-                    "{SNAPSHOT_MAGIC}\nmatcher {MATCHER_VERSION}\nentries 1\nk 5 9999 0badc0de\nxx"
+                    "{SNAPSHOT_MAGIC}\nmatcher {MATCHER_VERSION}\nentries 1\nk 5 9999 0badc0de 1\nxx"
                 ),
                 0,
             ),
             (
                 "bad-compact",
                 format!(
-                    "{SNAPSHOT_MAGIC}\nmatcher {MATCHER_VERSION}\nentries 1\nk 5 4 {:08x}\nnope",
-                    entry_crc("k", 5, "nope")
+                    "{SNAPSHOT_MAGIC}\nmatcher {MATCHER_VERSION}\nentries 1\nk 5 4 {:08x} 1\nnope",
+                    entry_crc("k", 5, 1, "nope")
                 ),
                 0,
             ),
@@ -1104,8 +1128,8 @@ mod tests {
             let bad = format!("tacos-algo v1 x 4 1000 4000 -\n{line}\n");
             let mut text = format!("{SNAPSHOT_MAGIC}\nmatcher {MATCHER_VERSION}\nentries 2\n");
             for (key, compact) in [("a", &good), ("b", &bad)] {
-                let crc = entry_crc(key, 5, compact);
-                text.push_str(&format!("{key} 5 {} {crc:08x}\n{compact}", compact.len()));
+                let crc = entry_crc(key, 5, 1, compact);
+                text.push_str(&format!("{key} 5 {} {crc:08x} 1\n{compact}", compact.len()));
             }
             text.push_str("end 2\n");
             std::fs::write(&path, text).unwrap();
@@ -1136,6 +1160,7 @@ mod tests {
                 WarmEntry {
                     time: Time::from_ps(7),
                     algo: a.clone(),
+                    quantum: 1,
                 },
             );
         }
@@ -1166,6 +1191,7 @@ mod tests {
             WarmEntry {
                 time: Time::from_ps(1),
                 algo: algo(),
+                quantum: 1,
             },
         );
         let dir = std::env::temp_dir().join(format!("tacos-warm-abort-{}", std::process::id()));
@@ -1180,6 +1206,7 @@ mod tests {
             WarmEntry {
                 time: Time::from_ps(2),
                 algo: algo(),
+                quantum: 1,
             },
         );
         cache.save_interrupted_to(&path).unwrap();

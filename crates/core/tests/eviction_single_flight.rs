@@ -46,6 +46,7 @@ fn a_follower_is_served_the_leaders_handle_even_after_eviction() {
         WarmEntry {
             time: Time::from_ps(777),
             algo: algo(),
+            quantum: 1,
         },
     );
 
@@ -55,6 +56,7 @@ fn a_follower_is_served_the_leaders_handle_even_after_eviction() {
         WarmEntry {
             time: Time::from_ps(888),
             algo: algo(),
+            quantum: 1,
         },
     );
     assert!(warm.get("hot-key").is_none(), "hot-key must be evicted");

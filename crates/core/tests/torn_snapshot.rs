@@ -23,6 +23,7 @@ fn snapshot_with_entries(path: &PathBuf, count: usize) -> Vec<u8> {
             WarmEntry {
                 time: Time::from_ps(1000 + i as u64),
                 algo: algo.clone(),
+                quantum: 1,
             },
         );
     }

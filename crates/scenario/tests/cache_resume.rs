@@ -28,12 +28,18 @@ fn second_run_performs_zero_new_syntheses() {
                  collective = [\"all-gather\"]\n\
                  size = [\"4MB\", \"8MB\"]\n\
                  algo = [\"tacos\", \"ring\"]";
-    let spec = spec_with_cache(sweep, &cache);
+    let mut spec = spec_with_cache(sweep, &cache);
+    // Serialize execution: the two sizes of one TACOS key would otherwise
+    // race to miss the cold cache.
+    spec.run.threads = 1;
 
     let first = run(&spec).unwrap();
     assert_eq!(first.failed, 0);
-    assert_eq!(first.generated, 8, "cold run generates every point");
-    assert_eq!(first.cache_hits, 0);
+    // Both fabrics are uniform, so TACOS synthesizes once per fabric and
+    // its second size is a rescaled hit; the ring baseline is keyed by
+    // size and generates every point.
+    assert_eq!(first.generated, 6, "cold run: 2 TACOS + 4 ring");
+    assert_eq!(first.cache_hits, 2);
 
     let second = run(&spec).unwrap();
     assert_eq!(second.failed, 0);
@@ -66,17 +72,66 @@ fn overlapping_grid_is_incremental() {
 
     // A larger grid containing the already-run point only generates the
     // new ones.
-    let grown = spec_with_cache(
+    let mut grown = spec_with_cache(
         "topology = [\"mesh:2x2\"]\ncollective = [\"all-gather\"]\nsize = [\"4MB\", \"8MB\"]\nalgo = [\"tacos\", \"ring\"]",
         &cache,
     );
+    grown.run.threads = 1;
     let second = run(&grown).unwrap();
     assert_eq!(second.records.len(), 4);
+    // The shared point is served from cache, and so is TACOS at 8 MB:
+    // mesh:2x2 is uniform, so both sizes have one cost shape.
     assert_eq!(
-        second.cache_hits, 1,
-        "the shared point is served from cache"
+        second.cache_hits, 2,
+        "the shared point and its other size are served from cache"
     );
-    assert_eq!(second.generated, 3);
+    assert_eq!(second.generated, 2, "only the ring points generate");
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// A size sweep on uniform fabrics (Fig. 16's torus and grid) synthesizes
+/// once per fabric, and every cell of its report — bar the cache
+/// disposition and the synthesis clock — is what an uncached run reports.
+#[test]
+fn a_uniform_size_sweep_synthesizes_once_per_fabric() {
+    let cache = temp_cache("sizesweep");
+    let sweep = "topology = [\"torus:4x4x4\", \"hypercube:4x4x4\"]\n\
+                 collective = [\"all-reduce\"]\n\
+                 size = [\"64MB\", \"0.5GB\", \"1GB\", \"2GB\"]\n\
+                 algo = [\"tacos:4\"]\n\
+                 seed = [42]\n\
+                 link = [{ alpha_us = 0.7, bandwidth_gbps = 25.0 }]";
+    let mut cached = spec_with_cache(sweep, &cache);
+    cached.run.threads = 1;
+    let summary = run(&cached).unwrap();
+    assert_eq!(summary.failed, 0);
+    assert_eq!(
+        (summary.generated, summary.cache_hits),
+        (2, 6),
+        "one TACOS miss per fabric"
+    );
+
+    let mut uncached = cached.clone();
+    uncached.run.cache = None;
+    let reference = run(&uncached).unwrap();
+    assert_eq!(reference.failed, 0);
+    let blank = |rows: Vec<Vec<String>>| {
+        let header = rows[0].clone();
+        rows.into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .zip(&header)
+                    .map(|(cell, column)| match column.as_str() {
+                        "cache" | "synthesis_seconds" => String::new(),
+                        _ => cell,
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect::<Vec<_>>()
+    };
+    let (got, want) = (blank(summary.csv_rows()), blank(reference.csv_rows()));
+    assert_eq!(got.len(), 9, "header + 8 points");
+    assert_eq!(got, want);
     let _ = std::fs::remove_dir_all(&cache);
 }
 

@@ -56,6 +56,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use tacos_baselines::IdealBound;
+use tacos_collective::algorithm::rescale_time;
 use tacos_collective::{export::to_compact, parse_pattern};
 use tacos_core::{
     FlightEntry, InFlightRegistry, SynthesisScratch, SynthesizerConfig, WarmCache, WarmEntry,
@@ -191,6 +192,12 @@ struct Resolved {
     answer: Answer,
     num_npus: u64,
     size: ByteSize,
+    /// The chunk size and [`Generation::cost_quantum`] of the request's
+    /// collective: a warm entry of the same cost shape synthesized at
+    /// another quantum is rescaled to these (1 and `size` for the ideal
+    /// bound, which has no schedule).
+    chunk_size: ByteSize,
+    quantum: u64,
     /// [`Mechanism::name`] of the parsed mechanism.
     algorithm: &'static str,
 }
@@ -208,6 +215,7 @@ enum Answer {
 struct Counters {
     requests: AtomicU64,
     cache_hits: AtomicU64,
+    rescaled_hits: AtomicU64,
     resolve_hits: AtomicU64,
     synthesized: AtomicU64,
     deduplicated: AtomicU64,
@@ -382,6 +390,7 @@ impl ServerState {
         StatsBody {
             requests: c.requests.load(Ordering::Relaxed),
             cache_hits: c.cache_hits.load(Ordering::Relaxed),
+            rescaled_hits: c.rescaled_hits.load(Ordering::Relaxed),
             synthesized: c.synthesized.load(Ordering::Relaxed),
             deduplicated: c.deduplicated.load(Ordering::Relaxed),
             rejected: c.rejected.load(Ordering::Relaxed),
@@ -1025,7 +1034,7 @@ fn synthesize(state: &Arc<ServerState>, req: &Request) -> Result<Response, Strin
             Answer::Ideal(time) => return Ok(Response::Ok(req.id, ok_body(&resolved, *time))),
             Answer::Schedule(key) => {
                 if let Some(entry) = state.warm.get(key) {
-                    return Ok(hit(state, req, &resolved, &entry));
+                    return hit(state, req, &resolved, &entry);
                 }
             }
         }
@@ -1037,16 +1046,25 @@ fn synthesize(state: &Arc<ServerState>, req: &Request) -> Result<Response, Strin
     Ok(response)
 }
 
-/// A warm-cache hit's response (and its count).
-fn hit(state: &ServerState, req: &Request, resolved: &Resolved, entry: &WarmEntry) -> Response {
+/// A warm-cache hit's response (and its counts).
+fn hit(
+    state: &ServerState,
+    req: &Request,
+    resolved: &Resolved,
+    entry: &WarmEntry,
+) -> Result<Response, String> {
+    let body = entry_body(req, resolved, entry)?;
     state.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-    Response::Ok(
+    if entry.quantum != resolved.quantum {
+        state.counters.rescaled_hits.fetch_add(1, Ordering::Relaxed);
+    }
+    Ok(Response::Ok(
         req.id,
         OkBody {
             cache_hit: true,
-            ..entry_body(req, resolved, entry)
+            ..body
         },
-    )
+    ))
 }
 
 /// Resolves the request's shape from scratch — link, fabric, pattern,
@@ -1081,11 +1099,13 @@ fn resolve_and_run(
     let plan = mechanism
         .plan(pattern, topo.num_npus(), size, shape.chunks)
         .map_err(|e| e.cause())?;
-    let resolves_to = |answer| {
+    let resolves_to = |answer, chunk_size, quantum| {
         Arc::new(Resolved {
             answer,
             num_npus: topo.num_npus() as u64,
             size,
+            chunk_size,
+            quantum,
             algorithm: mechanism.name(),
         })
     };
@@ -1093,14 +1113,18 @@ fn resolve_and_run(
         // The theoretical bound is a closed-form computation: answer
         // inline, no worker, no cache.
         let time = IdealBound::new(&topo).collective_time(pattern, size);
-        let resolved = resolves_to(Answer::Ideal(time));
+        let resolved = resolves_to(Answer::Ideal(time), size, 1);
         return Ok((Response::Ok(req.id, ok_body(&resolved, time)), resolved));
     };
     let key = generation.cache_key(&shape.mechanism, &topo);
-    let resolved = resolves_to(Answer::Schedule(key.clone()));
+    let resolved = resolves_to(
+        Answer::Schedule(key.clone()),
+        generation.collective().chunk_size(),
+        generation.cost_quantum(&topo),
+    );
 
     if let Some(entry) = state.warm.get(&key) {
-        return Ok((hit(state, req, &resolved, &entry), resolved));
+        return Ok((hit(state, req, &resolved, &entry)?, resolved));
     }
 
     let mut deduplicated = false;
@@ -1192,7 +1216,7 @@ fn resolve_and_run(
                 OkBody {
                     deduplicated,
                     synthesis_ms,
-                    ..entry_body(req, &resolved, &entry)
+                    ..entry_body(req, &resolved, &entry)?
                 },
             )
         }
@@ -1205,14 +1229,37 @@ fn resolve_and_run(
     Ok((response, resolved))
 }
 
-/// The `ok` answer for a schedule held in the warm cache; callers set
-/// how it got there (`cache_hit` / `deduplicated` / `synthesis_ms`).
-fn entry_body(req: &Request, resolved: &Resolved, entry: &WarmEntry) -> OkBody {
-    OkBody {
-        transfers: entry.algo.len() as u64,
-        algorithm_compact: req.include_algorithm.then(|| to_compact(&entry.algo)),
-        ..ok_body(resolved, entry.time)
-    }
+/// The `ok` answer for a schedule held in the warm cache, rescaled from
+/// the entry's cost quantum to the request's; callers set how it got
+/// there (`cache_hit` / `deduplicated` / `synthesis_ms`). A time-only
+/// answer is one multiply; only `include_algorithm` copies the schedule,
+/// and only when it was stored at another size.
+fn entry_body(req: &Request, resolved: &Resolved, entry: &WarmEntry) -> Result<OkBody, String> {
+    let time = rescale_time(entry.time, entry.quantum, resolved.quantum)
+        .ok_or_else(|| format!("the collective time at {} overflows", resolved.size))?;
+    let algo = &entry.algo;
+    let algorithm_compact = if !req.include_algorithm {
+        None
+    } else if entry.quantum == resolved.quantum
+        && algo.chunk_size() == resolved.chunk_size
+        && algo.total_size() == resolved.size
+    {
+        Some(to_compact(algo))
+    } else {
+        let mut rescaled = algo.clone();
+        rescaled.rescale(
+            entry.quantum,
+            resolved.quantum,
+            resolved.chunk_size,
+            resolved.size,
+        )?;
+        Some(to_compact(&rescaled))
+    };
+    Ok(OkBody {
+        transfers: algo.len() as u64,
+        algorithm_compact,
+        ..ok_body(resolved, time)
+    })
 }
 
 /// An `ok` answer carrying only a completion time (all the ideal bound
@@ -1279,7 +1326,15 @@ fn run_job(state: &Arc<ServerState>, job: Job, scratch: &mut SynthesisScratch) -
     let synthesis_ms = started.elapsed().as_secs_f64() * 1e3;
     match generated {
         Ok(Ok((algo, time))) => {
-            let entry = state.warm.insert(key.clone(), WarmEntry { time, algo });
+            let quantum = generation.cost_quantum(&topo);
+            let entry = state.warm.insert(
+                key.clone(),
+                WarmEntry {
+                    time,
+                    algo,
+                    quantum,
+                },
+            );
             state.counters.synthesized.fetch_add(1, Ordering::Relaxed);
             state.inflight.complete(
                 &key,

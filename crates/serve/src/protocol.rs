@@ -278,6 +278,10 @@ pub struct StatsBody {
     pub requests: u64,
     /// Synthesize requests answered from the warm cache.
     pub cache_hits: u64,
+    /// The cache hits answered from an entry synthesized at another cost
+    /// quantum — the same cost shape at another size or link spec —
+    /// and rescaled.
+    pub rescaled_hits: u64,
     /// Syntheses actually executed by the worker pool.
     pub synthesized: u64,
     /// Requests that piggybacked on an in-flight synthesis.
@@ -389,6 +393,7 @@ impl Response {
                     ("status", "stats".into()),
                     ("requests", s.requests.into()),
                     ("cache_hits", s.cache_hits.into()),
+                    ("rescaled_hits", s.rescaled_hits.into()),
                     ("synthesized", s.synthesized.into()),
                     ("deduplicated", s.deduplicated.into()),
                     ("rejected", s.rejected.into()),

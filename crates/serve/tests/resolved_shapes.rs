@@ -163,6 +163,10 @@ fn a_remembered_shape_answers_what_a_fresh_daemon_answers() {
     // Asks two and three of every line, and ask one of the three lines
     // that re-deliver the base shape.
     assert_eq!(stats.resolve_hits, 2 * lines.len() as u64 + 3, "{stats:?}");
+    // mesh:3x3 is uniform: the lines that change only the size, α or
+    // bandwidth share the base line's cost shape, and every ask of them
+    // is a hit on the base schedule rescaled to their own quantum.
+    assert_eq!(stats.rescaled_hits, 3 * 3, "{stats:?}");
     let stats = fresh.stats();
     assert_eq!((stats.resolved_shapes, stats.resolve_hits), (shapes, 3));
     remembering.stop().unwrap();

@@ -15,8 +15,9 @@
 //! 2. **generate** ([`Generation::generate`]): plan → schedule + time —
 //!    the planned time if the schedule carries one, else a simulation.
 //! 3. **evaluate** ([`Evaluator::evaluate`]): plan → optional
-//!    [`AlgorithmCache`] lookup → generate → optional forced simulation
-//!    → one [`Evaluated`].
+//!    [`AlgorithmCache`] lookup (a hit stored at another size of the same
+//!    cost shape is rescaled to this one) → generate → optional forced
+//!    simulation → one [`Evaluated`].
 //!
 //! The scenario runner, [`crate::TrainingEvaluator`] and the one-shot
 //! CLI call *evaluate*; the daemon calls *plan* on the connection thread
@@ -112,8 +113,14 @@ impl Mechanism {
 }
 
 impl Generation {
+    /// The collective this generation runs.
+    pub fn collective(&self) -> &Collective {
+        &self.collective
+    }
+
     /// The structural cache key of the schedule on `topo`. TACOS
-    /// syntheses are keyed by their full synthesizer configuration;
+    /// syntheses are keyed by their cost shape and full synthesizer
+    /// configuration (see [`AlgorithmCache::key_with_tag`]);
     /// baselines by `spec` (the algorithm string as the caller wrote it,
     /// e.g. `themis:64`) plus the seed a randomized baseline consumes —
     /// deterministic baselines ignore seed/attempt sweeps, so their key
@@ -130,6 +137,32 @@ impl Generation {
                 baseline.kind().seed().unwrap_or(0),
             ),
         }
+    }
+
+    /// The cost quantum of this generation's chunks on `topo`
+    /// ([`AlgorithmCache::cost_quantum`]): what a schedule stored under
+    /// [`Generation::cache_key`] is rescaled to.
+    pub fn cost_quantum(&self, topo: &Topology) -> u64 {
+        AlgorithmCache::cost_quantum(topo, self.collective.chunk_size())
+    }
+
+    /// A schedule loaded from under this generation's key on `topo`,
+    /// made this collective's: a TACOS entry — stored by a request of the
+    /// same cost shape, possibly at another size or link spec — is
+    /// rescaled in place to this collective's cost quantum. `None` when
+    /// its times do not rescale (a damaged file): a miss.
+    fn fit(&self, topo: &Topology, mut algo: CollectiveAlgorithm) -> Option<CollectiveAlgorithm> {
+        // Baseline keys hold the exact link spec and size.
+        if matches!(self.generator, Generator::Baseline(_)) {
+            return Some(algo);
+        }
+        let (chunk, total) = (self.collective.chunk_size(), self.collective.total_size());
+        let from = AlgorithmCache::stored_quantum(topo, &algo)?;
+        let to = self.cost_quantum(topo);
+        if from != to || algo.chunk_size() != chunk || algo.total_size() != total {
+            algo.rescale(from, to, chunk, total).ok()?;
+        }
+        Some(algo)
     }
 
     /// Step 2: generates the schedule and its completion time.
@@ -260,9 +293,14 @@ impl<'a> Evaluator<'a> {
         let (algorithm, cache) = match self.cache {
             Some(cache) => {
                 let key = generation.cache_key(self.spec, topo);
-                let (algorithm, outcome) =
-                    cache.load_or_insert_with(&key, || generation.schedule(topo, scratch))?;
-                (algorithm, Some(outcome))
+                match cache.load(&key).and_then(|algo| generation.fit(topo, algo)) {
+                    Some(algorithm) => (algorithm, Some(CacheOutcome::Hit)),
+                    None => {
+                        let algorithm = generation.schedule(topo, scratch)?;
+                        let _ = cache.store(&key, &algorithm);
+                        (algorithm, Some(CacheOutcome::Miss))
+                    }
+                }
             }
             None => (generation.schedule(topo, scratch)?, None),
         };
