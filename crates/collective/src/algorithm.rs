@@ -45,8 +45,8 @@ impl fmt::Display for TransferId {
 ///
 /// Dependency lists are overwhelmingly 0–2 entries long: a scheduled
 /// TACOS transfer depends on at most the transfer that delivered its
-/// chunk to the source, plus one barrier edge when All-Reduce stitching
-/// splices Reduce-Scatter finishers onto All-Gather starters. Storing
+/// chunk to the source, or, for an All-Gather phase's first send, the
+/// Reduce-Scatter transfers that finished reducing the chunk. Storing
 /// those inline means the recording path allocates **per spilled list**
 /// (rare), not per transfer — the dominant allocation of large syntheses
 /// before this type existed. Longer lists (baseline generators with
@@ -425,58 +425,6 @@ impl CollectiveAlgorithm {
         hops.iter().map(|t| (t.src, t.dst)).collect()
     }
 
-    /// Produces the **time-reversed** algorithm used for combining
-    /// collectives (paper Fig. 11): every transfer's direction flips, its
-    /// kind becomes [`TransferKind::Reduce`], its window `[s, e]` maps to
-    /// `[T - e, T - s]`, and dependency edges invert.
-    ///
-    /// The caller provides the matching reversed topology implicitly: link
-    /// ids are preserved because [`Topology::reversed`] keeps link order.
-    ///
-    /// # Panics
-    /// Panics if any transfer is unscheduled (reversal is only meaningful
-    /// for synthesized, scheduled algorithms).
-    pub fn time_reversed(&self, name: impl Into<String>) -> CollectiveAlgorithm {
-        let total = self.collective_time();
-        let n = self.transfers.len();
-        // New index = n - 1 - old index keeps "deps reference earlier ids".
-        let flip = |old: usize| TransferId::new((n - 1 - old) as u32);
-        let mut reversed: Vec<Transfer> = Vec::with_capacity(n);
-        for old in (0..n).rev() {
-            let t = &self.transfers[old];
-            let start = t.start().expect("time reversal requires a schedule");
-            let end = t.end().expect("time reversal requires a schedule");
-            reversed.push(Transfer {
-                chunk: t.chunk,
-                count: t.count,
-                src: t.dst,
-                dst: t.src,
-                kind: TransferKind::Reduce,
-                link: t.link,
-                start_ps: (total - end).as_ps(),
-                duration_ps: (end - start).as_ps(),
-                deps: DepList::new(),
-            });
-        }
-        // Invert dependency edges: old "b depends on a" becomes "a' depends
-        // on b'".
-        for (old_b, t) in self.transfers.iter().enumerate() {
-            for &dep_a in t.deps.as_slice() {
-                let new_a = flip(dep_a.index());
-                let new_b = flip(old_b);
-                reversed[new_a.index()].deps.push(new_b);
-            }
-        }
-        CollectiveAlgorithm {
-            name: name.into(),
-            num_npus: self.num_npus,
-            chunk_size: self.chunk_size,
-            total_size: self.total_size,
-            transfers: reversed,
-            planned_time: Some(total),
-        }
-    }
-
     /// Re-expresses, in place, a schedule whose times are multiples of the
     /// cost quantum `from` at the quantum `to`: every start, duration and
     /// the planned time `t` becomes `t / from × to`, and the chunk and
@@ -609,6 +557,47 @@ impl AlgorithmBuilder {
     /// `true` if nothing has been pushed yet.
     pub fn is_empty(&self) -> bool {
         self.transfers.is_empty()
+    }
+
+    /// The transfers pushed so far, indexed by [`TransferId`].
+    pub fn transfers(&self) -> &[Transfer] {
+        &self.transfers
+    }
+
+    /// Reverses the pushed schedule in time, in place — the step that
+    /// turns a synthesized dual into a combining collective (paper
+    /// Fig. 11): every transfer's direction flips, its kind becomes
+    /// [`TransferKind::Reduce`], its window `[s, e]` maps to
+    /// `[total - e, total - s]`, and dependency edges invert. Transfer
+    /// `i` of `n` becomes transfer `n - 1 - i`, so dependencies still
+    /// reference earlier ids, and each inverted list holds its new
+    /// dependents in ascending old id. Link ids are kept:
+    /// [`Topology::reversed`] keeps link order, so a schedule on the
+    /// reversed topology reverses onto the original one.
+    ///
+    /// `total` must be at least every transfer's end.
+    ///
+    /// # Panics
+    /// Panics if a transfer is unscheduled.
+    pub fn time_reverse(&mut self, total: Time) {
+        let n = self.transfers.len();
+        let flip = |old: usize| TransferId::new((n - 1 - old) as u32);
+        // A dependency names an earlier transfer, whose own (forward)
+        // list was already taken by the time a later one pushes its
+        // inverted edge into it, so the lists invert without a copy.
+        for b in 0..n {
+            let deps = std::mem::take(&mut self.transfers[b].deps);
+            for &a in deps.as_slice() {
+                self.transfers[a.index()].deps.push(flip(b));
+            }
+        }
+        self.transfers.reverse();
+        for t in &mut self.transfers {
+            let end = t.end().expect("time reversal requires a schedule");
+            std::mem::swap(&mut t.src, &mut t.dst);
+            t.kind = TransferKind::Reduce;
+            t.start_ps = (total - end).as_ps();
+        }
     }
 
     /// Pushes a dependency-driven transfer (no schedule; the simulator
@@ -797,6 +786,10 @@ mod tests {
     use super::*;
 
     fn scheduled_pair() -> CollectiveAlgorithm {
+        scheduled_pair_builder().build()
+    }
+
+    fn scheduled_pair_builder() -> AlgorithmBuilder {
         // Chunk 0: NPU0 -> NPU1 at [0, 10), then NPU1 -> NPU2 at [10, 20).
         let mut b = AlgorithmBuilder::new("test", 3, ByteSize::mb(1), ByteSize::mb(3));
         let first = b.push_scheduled(
@@ -820,7 +813,52 @@ mod tests {
             vec![first],
         );
         b.planned_time(Time::from_ps(20));
-        b.build()
+        b
+    }
+
+    /// The out-of-place reversal [`AlgorithmBuilder::time_reverse`]
+    /// replaced, kept as its oracle: build a second list, walk the first
+    /// backwards into it, then invert each dependency edge in ascending
+    /// order of the old dependent.
+    fn time_reversed(algo: &CollectiveAlgorithm, name: impl Into<String>) -> CollectiveAlgorithm {
+        let total = algo.collective_time();
+        let n = algo.transfers.len();
+        // New index = n - 1 - old index keeps "deps reference earlier ids".
+        let flip = |old: usize| TransferId::new((n - 1 - old) as u32);
+        let mut reversed: Vec<Transfer> = Vec::with_capacity(n);
+        for old in (0..n).rev() {
+            let t = &algo.transfers[old];
+            let start = t.start().expect("time reversal requires a schedule");
+            let end = t.end().expect("time reversal requires a schedule");
+            reversed.push(Transfer {
+                chunk: t.chunk,
+                count: t.count,
+                src: t.dst,
+                dst: t.src,
+                kind: TransferKind::Reduce,
+                link: t.link,
+                start_ps: (total - end).as_ps(),
+                duration_ps: (end - start).as_ps(),
+                deps: DepList::new(),
+            });
+        }
+        // Invert dependency edges: old "b depends on a" becomes "a' depends
+        // on b'".
+        for (old_b, t) in algo.transfers.iter().enumerate() {
+            for &dep_a in t.deps.as_slice() {
+                let new_a = flip(dep_a.index());
+                let new_b = flip(old_b);
+                reversed[new_a.index()].deps.push(new_b);
+            }
+        }
+        CollectiveAlgorithm {
+            name: name.into(),
+            num_npus: algo.num_npus,
+            chunk_size: algo.chunk_size,
+            total_size: algo.total_size,
+            transfers: reversed,
+            planned_time: Some(total),
+        }
     }
 
     #[test]
@@ -898,8 +936,9 @@ mod tests {
 
     #[test]
     fn time_reversal_flips_everything() {
-        let a = scheduled_pair();
-        let r = a.time_reversed("reduce");
+        let mut b = scheduled_pair_builder();
+        b.time_reverse(Time::from_ps(20));
+        let r = b.build();
         assert_eq!(r.len(), 2);
         assert_eq!(r.collective_time(), Time::from_ps(20));
         // The last forward transfer becomes the first reversed transfer.
@@ -917,6 +956,60 @@ mod tests {
         assert_eq!(t1.deps(), &[TransferId::new(0)]);
         assert!(r.validate_causal().is_ok());
         assert!(r.validate_contention_free().is_ok());
+        assert_eq!(
+            r.transfers(),
+            time_reversed(&scheduled_pair(), "test").transfers()
+        );
+    }
+
+    proptest::proptest! {
+        /// On random scheduled DAGs with 0–4 dependencies per transfer
+        /// (spilled lists included), the in-place reversal gives the
+        /// oracle's transfers exactly, dependency order included.
+        #[test]
+        fn in_place_reversal_matches_the_oracle(
+            raw in proptest::prop::collection::vec(
+                (
+                    0u32..8,
+                    0u32..6,
+                    0u32..5,
+                    0u64..50,
+                    1u64..20,
+                    proptest::prop::collection::vec(proptest::any::<u32>(), 0..5),
+                ),
+                0..40,
+            ),
+            slack in 0u64..30,
+        ) {
+            let mut b = AlgorithmBuilder::new("fwd", 6, ByteSize::mb(1), ByteSize::mb(6));
+            let mut total = Time::ZERO;
+            for (i, (chunk, src, hop, start, duration, deps)) in raw.into_iter().enumerate() {
+                let deps: Vec<TransferId> = if i == 0 {
+                    Vec::new()
+                } else {
+                    deps.iter().map(|&d| TransferId::new(d % i as u32)).collect()
+                };
+                let (start, duration) = (Time::from_ps(start), Time::from_ps(duration));
+                total = total.max(start + duration);
+                b.push_scheduled(
+                    ChunkId::new(chunk),
+                    NpuId::new(src),
+                    NpuId::new((src + 1 + hop) % 6),
+                    TransferKind::Copy,
+                    LinkId::new(chunk + src),
+                    start,
+                    duration,
+                    deps,
+                );
+            }
+            let total = total + Time::from_ps(slack);
+            b.planned_time(total);
+            let want = time_reversed(&b.clone().build(), "fwd");
+            b.time_reverse(total);
+            let got = b.build();
+            proptest::prop_assert_eq!(got.transfers(), want.transfers());
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

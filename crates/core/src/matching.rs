@@ -61,10 +61,10 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use tacos_collective::algorithm::{AlgorithmBuilder, TransferId, TransferKind};
+use tacos_collective::algorithm::{AlgorithmBuilder, DepList, TransferId, TransferKind};
 use tacos_collective::{ChunkId, ChunkMatrix, Collective};
 use tacos_ten::{Arrival, ExpandingTen};
-use tacos_topology::{LinkId, NpuId, Topology};
+use tacos_topology::{LinkId, NpuId, Time, Topology};
 
 /// Sentinel for "chunk was initially held; no providing transfer".
 const NO_PROVIDER: u32 = u32::MAX;
@@ -272,6 +272,13 @@ pub(crate) struct MatchState {
     order_keys: Vec<u128>,
     /// Relay routing for sparse-postcondition patterns.
     relay: Option<RelayInfo>,
+    /// Added to every recorded start: the duration of the phases already
+    /// recorded into the same builder ([`MatchState::follow`]).
+    offset: Time,
+    /// Per chunk, the dependencies of a recorded send that has no
+    /// providing transfer (its chunk is a precondition): the earlier
+    /// phase's transfers that finished the chunk. Empty in a first phase.
+    barrier: Vec<DepList>,
 }
 
 impl MatchState {
@@ -328,6 +335,17 @@ impl MatchState {
         self.order.reserve(links);
         self.order_keys.clear();
         self.order_keys.reserve(links);
+        self.offset = Time::ZERO;
+        self.barrier.clear();
+    }
+
+    /// Makes this (freshly reset) run a later phase of a schedule whose
+    /// earlier phases take `offset` and are already recorded: recorded
+    /// starts shift by `offset`, and a send of a precondition chunk `c`
+    /// depends on `barrier[c]`.
+    pub(crate) fn follow(&mut self, offset: Time, barrier: Vec<DepList>) {
+        self.offset = offset;
+        self.barrier = barrier;
     }
 
     /// Test constructor from explicit per-NPU pre/postconditions.
@@ -550,7 +568,8 @@ impl MatchState {
 
     /// Records one link–chunk match: postcondition bookkeeping, TEN
     /// occupancy, and (when recording) the scheduled transfer with its
-    /// dependency on the chunk's providing transfer.
+    /// dependency on the chunk's providing transfer, or on the chunk's
+    /// barrier when it has none (see [`MatchState::follow`]).
     #[allow(clippy::too_many_arguments)]
     fn commit_match(
         &mut self,
@@ -580,17 +599,22 @@ impl MatchState {
         let arrive = ten.occupy(link, chunk);
         *transfers_out += 1;
         if let Some(b) = builder.as_deref_mut() {
-            // `Option<TransferId>` converts to an inline `DepList` — the
-            // recording path allocates nothing per transfer.
+            // One provider is an inline `DepList`, and so is an empty
+            // barrier: outside a spilled barrier the recording path
+            // allocates nothing per transfer.
+            let deps = match self.provider_of(src, chunk.index()) {
+                Some(provider) => DepList::from(Some(provider)),
+                None => self.barrier.get(chunk.index()).cloned().unwrap_or_default(),
+            };
             let id = b.push_scheduled(
                 chunk,
                 src,
                 dst,
                 TransferKind::Copy,
                 link,
-                start,
+                start + self.offset,
                 arrive - start,
-                self.provider_of(src, chunk.index()),
+                deps,
             );
             self.set_provider(dst, chunk.index(), id);
         }
@@ -601,7 +625,8 @@ impl MatchState {
     ///
     /// When `builder` is `Some`, each match is recorded as a scheduled
     /// transfer whose dependency is the transfer that delivered the chunk
-    /// to the source (empty for precondition chunks).
+    /// to the source (for a precondition chunk, the chunk's barrier,
+    /// empty unless an earlier phase set one).
     ///
     /// This is the event-driven, zero-allocation form: the round iterates
     /// only the awake links (see the module docs), and with recording

@@ -5,10 +5,10 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tacos_collective::algorithm::{AlgorithmBuilder, CollectiveAlgorithm, TransferId};
+use tacos_collective::algorithm::{AlgorithmBuilder, CollectiveAlgorithm, DepList, TransferId};
 use tacos_collective::{Collective, CollectivePattern};
 use tacos_ten::ExpandingTen;
-use tacos_topology::{NpuId, Time, Topology};
+use tacos_topology::{Time, Topology};
 
 use crate::config::SynthesizerConfig;
 use crate::error::SynthesisError;
@@ -197,37 +197,55 @@ impl Synthesizer {
         scratch: &mut SynthesisScratch,
     ) -> Result<SynthesisResult, SynthesisError> {
         let started = Instant::now();
-        let mut result = match collective.pattern() {
+        let mut algorithm = AlgorithmBuilder::new(
+            "tacos",
+            topo.num_npus(),
+            collective.chunk_size(),
+            collective.total_size(),
+        );
+        let builder = self.config.record_transfers().then_some(&mut algorithm);
+        let run = match collective.pattern() {
             CollectivePattern::AllGather
             | CollectivePattern::Broadcast { .. }
             | CollectivePattern::AllToAll
             | CollectivePattern::Gather { .. }
             | CollectivePattern::Scatter { .. } => {
-                self.synthesize_gather("tacos", topo, collective, seed, scratch)?
+                self.run_matching(topo, collective, seed, scratch, builder, Phase::Whole)?
             }
             CollectivePattern::ReduceScatter | CollectivePattern::Reduce { .. } => {
-                self.synthesize_combining(topo, collective, seed, scratch)?
+                let dual = collective
+                    .dual()
+                    .expect("combining patterns other than All-Reduce have duals");
+                self.synthesize_combining(topo, &dual, seed, scratch, builder, Phase::Whole)?
             }
             CollectivePattern::AllReduce => {
-                self.synthesize_all_reduce(topo, collective, seed, scratch)?
+                self.synthesize_all_reduce(topo, collective, seed, scratch, builder)?
             }
         };
-        result.synthesis_duration = started.elapsed();
-        result.seed = seed;
-        Ok(result)
+        algorithm.planned_time(run.time);
+        Ok(SynthesisResult {
+            algorithm: algorithm.build(),
+            collective_time: run.time,
+            synthesis_duration: started.elapsed(),
+            rounds: run.rounds,
+            num_transfers: run.transfers,
+            seed,
+        })
     }
 
-    /// Direct matching synthesis for non-combining patterns (Alg. 2).
-    fn synthesize_gather(
+    /// Direct matching synthesis for non-combining patterns (Alg. 2),
+    /// recording each match into `builder` when given, as the given
+    /// `phase` of the schedule.
+    fn run_matching(
         &self,
-        name: &str,
         topo: &Topology,
         collective: &Collective,
         seed: u64,
         scratch: &mut SynthesisScratch,
-    ) -> Result<SynthesisResult, SynthesisError> {
+        mut builder: Option<&mut AlgorithmBuilder>,
+        phase: Phase,
+    ) -> Result<Run, SynthesisError> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let record = self.config.record_transfers();
         let reference = self.config.reference_matching();
         let targets = sparse_targets(collective);
         let SynthesisScratch {
@@ -236,6 +254,7 @@ impl Synthesizer {
             events,
             relay: relay_cache,
         } = scratch;
+        let record = builder.is_some();
         state.reset(topo, collective, record, targets.is_some(), reference);
         // Sparse-postcondition patterns need relay routing through
         // disinterested intermediates (see matching::RelayInfo). The BFS
@@ -255,20 +274,17 @@ impl Synthesizer {
             }
             None => ten.insert(ExpandingTen::new(topo, collective.chunk_size())),
         };
-        let mut builder = record.then(|| {
-            let mut b = AlgorithmBuilder::new(
-                name,
-                topo.num_npus(),
-                collective.chunk_size(),
-                collective.total_size(),
-            );
+        match (phase, builder.as_deref_mut()) {
             // Every unsatisfied postcondition needs at least one transfer
             // (relay hops add more), so reserving here removes almost all
             // of the transfer list's doubling-growth copies — at mesh
-            // scale the final list runs to hundreds of megabytes.
-            b.reserve_transfers(state.unsatisfied());
-            b
-        });
+            // scale the final list runs to hundreds of megabytes. An
+            // All-Reduce's one list grows instead: reserving each phase,
+            // or both up front, read a higher peak RSS (PERF.md).
+            (Phase::Whole, Some(b)) => b.reserve_transfers(state.unsatisfied()),
+            (Phase::After(offset, barrier), _) => state.follow(offset, barrier),
+            _ => {}
+        }
         let mut rounds = 0usize;
         let mut num_transfers = 0u64;
         loop {
@@ -278,7 +294,7 @@ impl Synthesizer {
                     ten,
                     &mut rng,
                     self.config.prefer_cheap_links(),
-                    builder.as_mut(),
+                    builder.as_deref_mut(),
                     &mut num_transfers,
                 );
             } else {
@@ -287,7 +303,7 @@ impl Synthesizer {
                     ten,
                     &mut rng,
                     self.config.prefer_cheap_links(),
-                    builder.as_mut(),
+                    builder.as_deref_mut(),
                     &mut num_transfers,
                 );
             }
@@ -306,37 +322,35 @@ impl Synthesizer {
                 state.apply_arrival(topo, arrival);
             }
         }
-        let collective_time = ten.now();
         // Hand relay metadata back for the next attempt; dense patterns
         // have none and must not wipe a cache a sparse pattern built.
         if let Some(relay) = state.take_relay() {
             *relay_cache = Some(relay);
         }
-        let algorithm = match builder {
-            Some(mut b) => {
-                b.planned_time(collective_time);
-                b.build()
-            }
-            None => {
-                let mut b = AlgorithmBuilder::new(
-                    name,
-                    topo.num_npus(),
-                    collective.chunk_size(),
-                    collective.total_size(),
-                );
-                b.planned_time(collective_time);
-                b.build()
-            }
-        };
-        Ok(SynthesisResult {
-            algorithm,
-            collective_time,
-            synthesis_duration: Duration::ZERO,
+        Ok(Run {
+            time: ten.now(),
             rounds,
-            num_transfers,
-            seed,
+            transfers: num_transfers,
         })
     }
+}
+
+/// Where one matching run sits in the schedule its builder records.
+enum Phase {
+    /// The whole schedule.
+    Whole,
+    /// The first of an All-Reduce's two phases.
+    First,
+    /// A phase after recorded ones that took `.0` and finished chunk `c`
+    /// with the transfers `.1[c]` (see `MatchState::follow`).
+    After(Time, Vec<DepList>),
+}
+
+/// Search statistics of one matching run, or of consecutive phases.
+struct Run {
+    time: Time,
+    rounds: usize,
+    transfers: u64,
 }
 
 /// Per-chunk final destinations for sparse-postcondition patterns, `None`
@@ -365,139 +379,83 @@ fn sparse_targets(collective: &Collective) -> Option<Vec<u32>> {
 
 impl Synthesizer {
     /// Combining collectives via reversal (paper Fig. 11): synthesize the
-    /// dual on the reversed topology, then reverse the result in time.
+    /// non-combining `dual` on the reversed topology, recording into
+    /// `builder`, then reverse the recorded transfers in time, in place.
     fn synthesize_combining(
         &self,
         topo: &Topology,
-        collective: &Collective,
+        dual: &Collective,
         seed: u64,
         scratch: &mut SynthesisScratch,
-    ) -> Result<SynthesisResult, SynthesisError> {
-        let dual = collective
-            .dual()
-            .expect("combining patterns other than All-Reduce have duals");
-        let reversed_topo = topo.reversed();
-        let mut result =
-            self.synthesize_gather("tacos-dual", &reversed_topo, &dual, seed, scratch)?;
-        if self.config.record_transfers() {
-            result.algorithm = result.algorithm.time_reversed("tacos");
+        mut builder: Option<&mut AlgorithmBuilder>,
+        phase: Phase,
+    ) -> Result<Run, SynthesisError> {
+        let run = self.run_matching(
+            &topo.reversed(),
+            dual,
+            seed,
+            scratch,
+            builder.as_deref_mut(),
+            phase,
+        )?;
+        if let Some(b) = builder {
+            b.time_reverse(run.time);
         }
-        Ok(result)
+        Ok(run)
     }
 
     /// All-Reduce: a Reduce-Scatter phase followed by an All-Gather phase
-    /// (paper §IV-E). Both phases are synthesized independently; the
-    /// All-Gather phase's initial sends depend on the Reduce-Scatter
-    /// completing the corresponding chunk at its owner.
+    /// (paper §IV-E), both recorded into the one `builder`. The
+    /// All-Gather phase starts when the Reduce-Scatter ends, and its
+    /// first send of chunk `c` out of the owner depends on every
+    /// Reduce-Scatter transfer delivering a partial of `c` into the owner.
     fn synthesize_all_reduce(
         &self,
         topo: &Topology,
         collective: &Collective,
         seed: u64,
         scratch: &mut SynthesisScratch,
-    ) -> Result<SynthesisResult, SynthesisError> {
-        let rs_coll = Collective::with_chunking(
-            CollectivePattern::ReduceScatter,
-            collective.num_npus(),
-            collective.chunks_per_npu(),
-            collective.total_size(),
-        )?;
-        let ag_coll = Collective::with_chunking(
+        mut builder: Option<&mut AlgorithmBuilder>,
+    ) -> Result<Run, SynthesisError> {
+        // The All-Gather is also the Reduce-Scatter's dual.
+        let all_gather = Collective::with_chunking(
             CollectivePattern::AllGather,
             collective.num_npus(),
             collective.chunks_per_npu(),
             collective.total_size(),
         )?;
-        let rs = self.synthesize_combining(topo, &rs_coll, seed, scratch)?;
-        let ag =
-            self.synthesize_gather("tacos-ag", topo, &ag_coll, seed.wrapping_add(1), scratch)?;
-        let total_time = rs.collective_time + ag.collective_time;
-
-        if !self.config.record_transfers() {
-            let mut b = AlgorithmBuilder::new(
-                "tacos",
-                topo.num_npus(),
-                collective.chunk_size(),
-                collective.total_size(),
-            );
-            b.planned_time(total_time);
-            return Ok(SynthesisResult {
-                algorithm: b.build(),
-                collective_time: total_time,
-                synthesis_duration: Duration::ZERO,
-                rounds: rs.rounds + ag.rounds,
-                num_transfers: rs.num_transfers + ag.num_transfers,
-                seed,
-            });
-        }
-
-        let rs_algo = rs.algorithm();
-        let ag_algo = ag.algorithm();
-        let rs_time = rs.collective_time;
-        let mut b = AlgorithmBuilder::new(
-            "tacos",
-            topo.num_npus(),
-            collective.chunk_size(),
-            collective.total_size(),
-        );
-        // Phase 1: Reduce-Scatter, as scheduled.
-        for t in rs_algo.transfers() {
-            b.push_scheduled(
-                t.chunk(),
-                t.src(),
-                t.dst(),
-                t.kind(),
-                t.link().expect("recorded algorithms are scheduled"),
-                t.start().expect("recorded algorithms are scheduled"),
-                t.duration().expect("recorded algorithms are scheduled"),
-                t.deps(),
-            );
-        }
-        // Barrier dependencies: the All-Gather send of chunk `c` out of its
-        // owner requires every Reduce-Scatter transfer delivering a partial
-        // of `c` into the owner to have completed.
-        let owner_of = |chunk: tacos_collective::ChunkId| -> NpuId { collective.owner(chunk) };
-        let rs_finishers: Vec<Vec<TransferId>> = {
-            let mut map = vec![Vec::new(); collective.num_chunks()];
-            for (i, t) in rs_algo.transfers().iter().enumerate() {
-                if t.dst() == owner_of(t.chunk()) {
-                    map[t.chunk().index()].push(TransferId::new(i as u32));
-                }
-            }
-            map
-        };
-        // Phase 2: All-Gather, shifted by the Reduce-Scatter's duration.
-        let offset = rs_algo.len() as u32;
-        for t in ag_algo.transfers() {
-            let mut deps = tacos_collective::algorithm::DepList::new();
-            for d in t.deps() {
-                deps.push(TransferId::new(d.index() as u32 + offset));
-            }
-            if t.deps().is_empty() {
-                // Initial send out of the owner: wait for the reduction.
-                for &f in &rs_finishers[t.chunk().index()] {
-                    deps.push(f);
-                }
-            }
-            b.push_scheduled(
-                t.chunk(),
-                t.src(),
-                t.dst(),
-                t.kind(),
-                t.link().expect("recorded algorithms are scheduled"),
-                t.start().expect("recorded algorithms are scheduled") + rs_time,
-                t.duration().expect("recorded algorithms are scheduled"),
-                deps,
-            );
-        }
-        b.planned_time(total_time);
-        Ok(SynthesisResult {
-            algorithm: b.build(),
-            collective_time: total_time,
-            synthesis_duration: Duration::ZERO,
-            rounds: rs.rounds + ag.rounds,
-            num_transfers: rs.num_transfers + ag.num_transfers,
+        let rs = self.synthesize_combining(
+            topo,
+            &all_gather,
             seed,
+            scratch,
+            builder.as_deref_mut(),
+            Phase::First,
+        )?;
+        let barrier = builder
+            .as_deref()
+            .map(|b| {
+                let mut barrier = vec![DepList::new(); collective.num_chunks()];
+                for (i, t) in b.transfers().iter().enumerate() {
+                    if t.dst() == collective.owner(t.chunk()) {
+                        barrier[t.chunk().index()].push(TransferId::new(i as u32));
+                    }
+                }
+                barrier
+            })
+            .unwrap_or_default();
+        let ag = self.run_matching(
+            topo,
+            &all_gather,
+            seed.wrapping_add(1),
+            scratch,
+            builder,
+            Phase::After(rs.time, barrier),
+        )?;
+        Ok(Run {
+            time: rs.time + ag.time,
+            rounds: rs.rounds + ag.rounds,
+            transfers: rs.transfers + ag.transfers,
         })
     }
 }
@@ -667,6 +625,20 @@ mod tests {
             .filter(|t| t.kind() == TransferKind::Copy)
             .count();
         assert_eq!((reduces, copies), (12, 12));
+        // The Reduce-Scatter comes first in the one list, and each
+        // All-Gather send out of a chunk's owner waits on exactly the
+        // Reduce-Scatter transfers that delivered a partial of the chunk
+        // into the owner.
+        let (rs, ag) = algo.transfers().split_at(reduces);
+        assert!(rs.iter().all(|t| t.kind() == TransferKind::Reduce));
+        for t in ag.iter().filter(|t| t.src() == coll.owner(t.chunk())) {
+            let finishers: Vec<TransferId> = (0..reduces)
+                .filter(|&i| rs[i].chunk() == t.chunk() && rs[i].dst() == t.src())
+                .map(|i| TransferId::new(i as u32))
+                .collect();
+            assert_eq!(t.deps(), &finishers[..]);
+            assert!(t.start() >= Some(step(ByteSize::mb(1)) * 3));
+        }
     }
 
     /// Broadcast and Reduce synthesis on an asymmetric topology.
@@ -730,21 +702,37 @@ mod tests {
         assert_eq!(a.num_transfers(), b.num_transfers());
     }
 
+    /// Recording changes only whether transfers are kept: the name, time,
+    /// rounds and match count are the same, for the combining patterns
+    /// (reversed dual, two phases) as for the direct ones.
     #[test]
     fn record_transfers_off_keeps_time() {
         let topo = Topology::mesh_2d(3, 3, spec()).unwrap();
-        let coll = Collective::all_reduce(9, ByteSize::mb(9)).unwrap();
-        let with = synth().synthesize_seeded(&topo, &coll, 5).unwrap();
-        let without = Synthesizer::new(SynthesizerConfig::default().with_record_transfers(false))
-            .synthesize_seeded(&topo, &coll, 5)
-            .unwrap();
-        assert_eq!(with.collective_time(), without.collective_time());
-        assert_eq!(with.num_transfers(), without.num_transfers());
-        assert!(without.algorithm().is_empty());
-        assert_eq!(
-            without.algorithm().planned_time(),
-            Some(without.collective_time())
-        );
+        let root = tacos_topology::NpuId::new(4);
+        let collectives = [
+            Collective::all_reduce(9, ByteSize::mb(9)).unwrap(),
+            Collective::reduce_scatter(9, ByteSize::mb(9)).unwrap(),
+            Collective::reduce(9, root, ByteSize::mb(9)).unwrap(),
+            Collective::all_gather(9, ByteSize::mb(9)).unwrap(),
+        ];
+        let unrecorded =
+            Synthesizer::new(SynthesizerConfig::default().with_record_transfers(false));
+        for coll in &collectives {
+            let with = synth().synthesize_seeded(&topo, coll, 5).unwrap();
+            let without = unrecorded.synthesize_seeded(&topo, coll, 5).unwrap();
+            let pattern = coll.pattern();
+            assert_eq!(with.algorithm().name(), "tacos", "{pattern:?}");
+            assert_eq!(without.algorithm().name(), "tacos", "{pattern:?}");
+            assert_eq!(with.collective_time(), without.collective_time());
+            assert_eq!(with.rounds(), without.rounds(), "{pattern:?}");
+            assert_eq!(with.num_transfers(), without.num_transfers());
+            assert_eq!(with.algorithm().len() as u64, with.num_transfers());
+            assert!(without.algorithm().is_empty());
+            assert_eq!(
+                without.algorithm().planned_time(),
+                Some(without.collective_time())
+            );
+        }
     }
 
     /// Heterogeneous prioritization (paper §IV-F): with a fast and a slow
@@ -773,7 +761,7 @@ mod tests {
 mod extended_pattern_tests {
     use super::*;
     use tacos_collective::ChunkId;
-    use tacos_topology::{Bandwidth, ByteSize, LinkSpec, RingOrientation};
+    use tacos_topology::{Bandwidth, ByteSize, LinkSpec, NpuId, RingOrientation};
 
     fn spec() -> LinkSpec {
         LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(50.0))

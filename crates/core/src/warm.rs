@@ -365,8 +365,8 @@ impl WarmCache {
         WarmCache::with_limits(WarmLimits::default())
     }
 
-    /// An empty warm cache bounded by `limits`. An entry cap below
-    /// [`DEFAULT_SHARDS`] lowers the shard count to the cap so every
+    /// An empty warm cache bounded by `limits`. An entry cap below the
+    /// default shard count lowers the shard count to the cap so every
     /// shard can hold at least one entry.
     pub fn with_limits(limits: WarmLimits) -> Self {
         let shards = if limits.max_entries == 0 {
