@@ -57,11 +57,6 @@ impl IdealBound {
         }
     }
 
-    /// The bottleneck NPU bandwidth used by the bound, in bytes/s.
-    pub fn min_bandwidth_bytes_per_sec(&self) -> f64 {
-        self.min_bw_bytes_per_sec
-    }
-
     /// The α-only network diameter used by the bound.
     pub fn diameter(&self) -> Time {
         self.diameter
@@ -191,7 +186,7 @@ mod tests {
         let ring = Topology::ring(8, spec(), RingOrientation::Bidirectional).unwrap();
         let ideal = IdealBound::new(&ring);
         // Bidirectional ring: 2 x 50 GB/s per NPU; diameter 4 hops.
-        assert_eq!(ideal.min_bandwidth_bytes_per_sec(), 100e9);
+        assert_eq!(ideal.min_bw_bytes_per_sec, 100e9);
         assert_eq!(ideal.diameter(), Time::from_micros(2.0));
     }
 

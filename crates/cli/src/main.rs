@@ -13,7 +13,10 @@
 //! tacos scenario run scenarios/size_sweep.toml
 //! ```
 
+use std::fmt::{Display, Write as _};
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
 
 use tacos_collective::export;
 use tacos_core::{SynthesisScratch, SynthesizerConfig};
@@ -22,19 +25,22 @@ use tacos_scenario::{parse_pattern, parse_size, parse_topology};
 use tacos_topology::LinkAxis;
 use tacos_workload::{bandwidth_gbps, Evaluator, Mechanism};
 
-/// How a failure should be presented: usage mistakes get the USAGE block
-/// appended; runtime failures (a bad scenario file, failed points) print
-/// only their message so it isn't buried under 35 lines of flag help.
+/// How a command ends other than in success: usage mistakes get the
+/// USAGE block appended; runtime failures (a bad scenario file, failed
+/// points) print only their message so it isn't buried under 70 lines of
+/// flag help; `--help` prints the USAGE block and exits zero.
 #[derive(Debug, PartialEq)]
 enum CliError {
     Usage(String),
     Runtime(String),
+    Help,
 }
 
 impl CliError {
     fn message(&self) -> &str {
         match self {
             CliError::Usage(m) | CliError::Runtime(m) => m,
+            CliError::Help => "",
         }
     }
 }
@@ -55,109 +61,261 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Help) => {
+            println!("{}", usage());
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             if matches!(e, CliError::Usage(_)) {
                 eprintln!();
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage());
             }
             ExitCode::FAILURE
         }
     }
 }
 
-const USAGE: &str = "\
+/// One flag of a subcommand: its name, the placeholder for its value
+/// (`None` for a switch) and its help text. The subcommand's parser
+/// accepts exactly its table's flags, and `--help` prints the rows.
+struct Flag {
+    name: &'static str,
+    value: Option<&'static str>,
+    help: &'static str,
+}
+
+/// A flag that takes a value.
+const fn value(name: &'static str, value: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        value: Some(value),
+        help,
+    }
+}
+
+/// A flag that takes none.
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        value: None,
+        help,
+    }
+}
+
+#[rustfmt::skip]
+const POINT: &[Flag] = &[
+    value("--topology", "SPEC", "ring:N | fc:N | mesh:RxC | torus:XxY[xZ] | hypercube:XxYxZ |\n\
+        switch:N[:dD] | switch2d:RxC | rfs:RxFxS | dragonfly:GxP | dgx1"),
+    value("--collective", "P", "all-gather | reduce-scatter | all-reduce (default) |\n\
+        all-to-all | gather[:ROOT] | scatter[:ROOT] | broadcast[:ROOT]"),
+    value("--size", "BYTES", "e.g. 1GB, 64MB, 1KB (default 64MB)"),
+    value("--chunks", "K", "chunking factor per NPU (default 1)"),
+    value("--algo", "A", "tacos (default) | tacos:N | tacos:attempts=8,seed=3,... | ideal |\n\
+        ring | ring-uni | direct | rhd | dbt | multitree | taccl | ...\n\
+        (the scenario `algo` vocabulary; tacos:N overrides --chunks)"),
+    value("--alpha", "US", "link latency in microseconds (default 0.5)"),
+    value("--bw", "GBPS", "link bandwidth in GB/s (default 50)"),
+    value("--seed", "N", "RNG seed (default 42)"),
+    value("--attempts", "N", "best-of-N randomized synthesis (default 1)"),
+    switch("--simulate", "additionally run the congestion-aware simulator"),
+    switch("--json", "machine-readable output"),
+    value("--export-json", "F", "write the full algorithm (transfers) as JSON to file F"),
+    value("--export-xml", "F", "write the algorithm as MSCCL-style XML to file F"),
+];
+
+/// Every row applies to `scenario run` only: `scenario expand` refuses
+/// each of them.
+#[rustfmt::skip]
+const SCENARIO: &[Flag] = &[
+    value("--threads", "N", "worker threads (0 = all cores)"),
+    value("--cache", "DIR", "algorithm cache directory"),
+    switch("--no-cache", "disable the algorithm cache"),
+    value("--output", "STEM", "write STEM.csv / STEM.json result artifacts"),
+    switch("--quick", "run the scenario's [quick] reduced grid"),
+    switch("--quiet", "suppress per-point progress on stderr"),
+];
+
+const DIFF: &[Flag] = &[value(
+    "--tol",
+    "T",
+    "numeric tolerance for cell comparison (default 1e-9)",
+)];
+
+#[rustfmt::skip]
+const SERVE: &[Flag] = &[
+    value("--addr", "HOST:PORT", "listen address (default 127.0.0.1:7440; port 0 = ephemeral)"),
+    value("--workers", "N", "synthesis worker threads (default 2)"),
+    value("--queue-depth", "N", "admission queue: waiting syntheses before requests are\n\
+        rejected (default 32)"),
+    value("--cache-dir", "DIR", "persist the warm cache to DIR on shutdown/checkpoint and\n\
+        reload it on start (matcher-version checked)"),
+    value("--deadline-ms", "MS", "default per-request deadline (requests may override)"),
+    value("--checkpoint-every", "SECS", "also persist the warm cache every SECS seconds\n\
+        (crash-safe: temp file + fsync + atomic rename)"),
+    value("--max-line-bytes", "N", "cap on one request line; longer lines get a typed\n\
+        error and the connection closes (default 1048576)"),
+    value("--idle-timeout-secs", "SECS", "close connections idle longer than SECS (0 = never;\n\
+        default 300)"),
+    value("--max-connections", "N", "concurrent connection cap; excess connections get a\n\
+        typed 'rejected' with retry_after_ms (default 256)"),
+    value("--retry-after-ms", "MS", "backoff hint attached to rejected responses (default 100)"),
+    value("--warm-max-entries", "N", "cap on resident warm-cache entries; least-recently-used\n\
+        entries are evicted on insert (default 0 = unbounded)"),
+    value("--warm-max-bytes", "B", "cap on approximate warm-cache bytes, e.g. 64MB\n\
+        (default 0 = unbounded); caps also apply to reloads"),
+    value("--faults", "SPEC", "deterministic fault injection for chaos testing, e.g.\n\
+        panic@3,stall@1:50,conn-delay@2:20,checkpoint-abort@2"),
+    switch("--quiet", "suppress daemon notices on stderr"),
+];
+
+#[rustfmt::skip]
+const CHAOS: &[Flag] = &[
+    value("--seed", "N", "fault-plan seed (default 1); each seed is deterministic"),
+    switch("--quiet", "only print the final verdict"),
+];
+
+#[rustfmt::skip]
+const LINT: &[Flag] = &[
+    value("--root", "DIR", "workspace root to scan (default .)"),
+    switch("--fix-baseline", "rewrite lint.baseline from the current findings"),
+    switch("--stats", "also print the one-line lint-stats summary"),
+];
+
+/// `--help`: the usage lines, then each flag table under its header.
+const USAGE_LINES: &str = "\
 usage: tacos [options]
        tacos scenario run <file.toml> [scenario options]
        tacos scenario expand <file.toml>
        tacos scenario diff <a.csv> <b.csv> [--tol 1e-9]
        tacos serve [serve options]
        tacos chaos [--seed N] [--quiet]
-       tacos lint [--fix-baseline] [--stats] [--root DIR]
+       tacos lint [--fix-baseline] [--stats] [--root DIR]";
 
-single-point options:
-  --topology SPEC    ring:N | fc:N | mesh:RxC | torus:XxY[xZ] | hypercube:XxYxZ |
-                     switch:N[:dD] | switch2d:RxC | rfs:RxFxS | dragonfly:GxP | dgx1
-  --collective P     all-gather | reduce-scatter | all-reduce (default) |
-                     all-to-all | gather[:ROOT] | scatter[:ROOT] | broadcast[:ROOT]
-  --size BYTES       e.g. 1GB, 64MB, 1KB (default 64MB)
-  --chunks K         chunking factor per NPU (default 1)
-  --algo A           tacos (default) | tacos:N | tacos:attempts=8,seed=3,... | ideal |
-                     ring | ring-uni | direct | rhd | dbt | multitree | taccl | ...
-                     (the scenario `algo` vocabulary; tacos:N overrides --chunks)
-  --alpha US         link latency in microseconds (default 0.5)
-  --bw GBPS          link bandwidth in GB/s (default 50)
-  --seed N           RNG seed (default 42)
-  --attempts N       best-of-N randomized synthesis (default 1)
-  --simulate         additionally run the congestion-aware simulator
-  --json             machine-readable output
-  --export-json F    write the full algorithm (transfers) as JSON to file F
-  --export-xml F     write the algorithm as MSCCL-style XML to file F
+#[rustfmt::skip]
+const SECTIONS: [(&str, &[Flag]); 6] = [
+    ("single-point options:", POINT),
+    ("scenario options (override the file's [run] table):", SCENARIO),
+    ("scenario diff options:", DIFF),
+    ("serve options (synthesis-as-a-service daemon; line-delimited JSON over TCP):", SERVE),
+    ("chaos options (drive a private daemon through a seeded fault plan and\n\
+      assert its operational invariants; nonzero exit on any violation):", CHAOS),
+    ("lint options (repo-native static analysis: lock-order deadlock detection,\n\
+      panic-path audit, unsafe hygiene, design rules; nonzero exit on any\n\
+      finding not absorbed by lint.baseline):", LINT),
+];
 
-scenario options (override the file's [run] table):
-  --threads N        worker threads (0 = all cores)
-  --cache DIR        algorithm cache directory
-  --no-cache         disable the algorithm cache
-  --output STEM      write STEM.csv / STEM.json result artifacts
-  --quick            run the scenario's [quick] reduced grid
-  --quiet            suppress per-point progress on stderr
+/// The help column: a flag and its placeholder take 19 characters after
+/// a 2-space indent; a wider one puts its help on the next line.
+const HELP_INDENT: &str = "\n                     ";
 
-scenario diff options:
-  --tol T            numeric tolerance for cell comparison (default 1e-9)
+fn usage() -> String {
+    let mut out = String::from(USAGE_LINES);
+    for (header, flags) in SECTIONS {
+        write!(out, "\n\n{header}").unwrap();
+        for flag in flags {
+            let head = match flag.value {
+                Some(value) => format!("{} {value}", flag.name),
+                None => flag.name.to_string(),
+            };
+            let gap = if head.len() < 19 { "" } else { HELP_INDENT };
+            let help = flag.help.replace('\n', HELP_INDENT);
+            write!(out, "\n  {head:<19}{gap}{help}").unwrap();
+        }
+    }
+    out
+}
 
-serve options (synthesis-as-a-service daemon; line-delimited JSON over TCP):
-  --addr HOST:PORT   listen address (default 127.0.0.1:7440; port 0 = ephemeral)
-  --workers N        synthesis worker threads (default 2)
-  --queue-depth N    admission queue: waiting syntheses before requests are
-                     rejected (default 32)
-  --cache-dir DIR    persist the warm cache to DIR on shutdown/checkpoint and
-                     reload it on start (matcher-version checked)
-  --deadline-ms MS   default per-request deadline (requests may override)
-  --checkpoint-every SECS
-                     also persist the warm cache every SECS seconds
-                     (crash-safe: temp file + fsync + atomic rename)
-  --max-line-bytes N cap on one request line; longer lines get a typed
-                     error and the connection closes (default 1048576)
-  --idle-timeout-secs SECS
-                     close connections idle longer than SECS (0 = never;
-                     default 300)
-  --max-connections N
-                     concurrent connection cap; excess connections get a
-                     typed 'rejected' with retry_after_ms (default 256)
-  --retry-after-ms MS
-                     backoff hint attached to rejected responses (default 100)
-  --warm-max-entries N
-                     cap on resident warm-cache entries; least-recently-used
-                     entries are evicted on insert (default 0 = unbounded)
-  --warm-max-bytes B cap on approximate warm-cache bytes, e.g. 64MB
-                     (default 0 = unbounded); caps also apply to reloads
-  --faults SPEC      deterministic fault injection for chaos testing, e.g.
-                     panic@3,stall@1:50,conn-delay@2:20,checkpoint-abort@2
-  --quiet            suppress daemon notices on stderr
+/// A subcommand's arguments, read against its flag table.
+struct Args<'a> {
+    /// Each flag given, with its value (`None` for a switch), in order.
+    flags: Vec<(&'static str, Option<&'a str>)>,
+    positional: Vec<&'a str>,
+}
 
-chaos options (drive a private daemon through a seeded fault plan and
-assert its operational invariants; nonzero exit on any violation):
-  --seed N           fault-plan seed (default 1); each seed is deterministic
-  --quiet            only print the final verdict
+impl<'a> Args<'a> {
+    /// Reads `args` against `table`, taking up to `positional` arguments
+    /// that are not flags; `what` names an argument in errors ("serve
+    /// argument").
+    fn parse(
+        args: &'a [String],
+        what: &str,
+        table: &'static [Flag],
+        positional: usize,
+    ) -> Result<Self, CliError> {
+        let (mut flags, mut positionals) = (Vec::new(), Vec::new());
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if arg == "--help" || arg == "-h" {
+                return Err(CliError::Help);
+            }
+            match table.iter().find(|flag| flag.name == arg) {
+                Some(flag) => {
+                    let value = match flag.value {
+                        Some(_) => Some(it.next().ok_or(format!("missing value for {arg}"))?),
+                        None => None,
+                    };
+                    flags.push((flag.name, value.map(String::as_str)));
+                }
+                None if !arg.starts_with('-') && positionals.len() < positional => {
+                    positionals.push(arg.as_str());
+                }
+                None => return Err(CliError::Usage(format!("unknown {what} '{arg}'"))),
+            }
+        }
+        Ok(Args {
+            flags,
+            positional: positionals,
+        })
+    }
 
-lint options (repo-native static analysis: lock-order deadlock detection,
-panic-path audit, unsafe hygiene, design rules; nonzero exit on any
-finding not absorbed by lint.baseline):
-  --root DIR         workspace root to scan (default .)
-  --fix-baseline     rewrite lint.baseline from the current findings
-  --stats            also print the one-line lint-stats summary";
+    /// Whether the switch `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(flag, _)| *flag == name)
+    }
+
+    /// The last value given for `name`, read by `read`. Every value given
+    /// is read, so a bad one is reported even when a later one wins.
+    fn value<T, E: Display>(
+        &self,
+        name: &str,
+        read: impl Fn(&str) -> Result<T, E>,
+    ) -> Result<Option<T>, String> {
+        let mut last = None;
+        for (_, value) in self.flags.iter().filter(|(flag, _)| *flag == name) {
+            let value = value.unwrap_or_default();
+            last = Some(read(value).map_err(|e| format!("bad {name}: {e}"))?);
+        }
+        Ok(last)
+    }
+
+    /// Overwrites `slot` with the value given for `name`, if any.
+    fn set<T: FromStr>(&self, name: &str, slot: &mut T) -> Result<(), String>
+    where
+        T::Err: Display,
+    {
+        if let Some(value) = self.value(name, str::parse)? {
+            *slot = value;
+        }
+        Ok(())
+    }
+
+    /// The last value given for `name`, as text.
+    fn text(&self, name: &str) -> Option<String> {
+        self.value(name, str::parse).ok().flatten()
+    }
+}
 
 fn run(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
-        Some("scenario") => return scenario_command(&args[1..]),
-        Some("serve") => return serve_command(&args[1..]),
-        Some("chaos") => return chaos_command(&args[1..]),
-        Some("lint") => return lint_command(&args[1..]),
-        _ => {}
+        Some("scenario") => scenario_command(&args[1..]),
+        Some("serve") => serve_command(&args[1..]),
+        Some("chaos") => chaos_command(&args[1..]),
+        Some("lint") => lint_command(&args[1..]),
+        // Legacy single-point mode: most failures are flag mistakes, so
+        // they keep the usage text.
+        _ => run_single_point(args),
     }
-    // Legacy single-point mode: most failures are flag mistakes, so they
-    // keep the usage text.
-    run_single_point(args).map_err(CliError::Usage)
 }
 
 /// `tacos scenario run|expand <file.toml> [options]` and
@@ -166,76 +324,30 @@ fn scenario_command(args: &[String]) -> Result<(), CliError> {
     let action = args.first().ok_or_else(|| {
         CliError::Usage("scenario needs a subcommand: run | expand | diff".into())
     })?;
-    if action == "diff" {
-        return scenario_diff(&args[1..]);
-    }
-    let file = args
-        .get(1)
-        .ok_or_else(|| CliError::Usage(format!("scenario {action} needs a <file.toml>")))?;
-    if !matches!(action.as_str(), "run" | "expand") {
-        return Err(CliError::Usage(format!(
-            "unknown scenario subcommand '{action}' (expected run | expand | diff)"
-        )));
-    }
-    let full_spec = tacos_scenario::ScenarioSpec::from_file(file)
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-
-    let mut it = args.iter().skip(2);
-    let mut run_only_flags: Vec<&str> = Vec::new();
-    let mut quick = false;
-    let mut threads: Option<usize> = None;
-    let mut cache: Option<Option<String>> = None;
-    let mut output: Option<String> = None;
-    let mut quiet = false;
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        run_only_flags.push(match arg.as_str() {
-            "--threads" => {
-                threads = Some(
-                    take("--threads")?
-                        .parse()
-                        .map_err(|e| format!("bad --threads: {e}"))?,
-                );
-                "--threads"
-            }
-            "--cache" => {
-                cache = Some(Some(take("--cache")?));
-                "--cache"
-            }
-            "--no-cache" => {
-                cache = Some(None);
-                "--no-cache"
-            }
-            "--output" => {
-                output = Some(take("--output")?);
-                "--output"
-            }
-            "--quick" => {
-                quick = true;
-                "--quick"
-            }
-            "--quiet" => {
-                quiet = true;
-                "--quiet"
-            }
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown scenario argument '{other}'"
-                )))
-            }
-        });
-    }
-    if action == "expand" {
-        if let Some(flag) = run_only_flags.first() {
+    match action.as_str() {
+        "diff" => return scenario_diff(&args[1..]),
+        "run" | "expand" => {}
+        "--help" | "-h" => return Err(CliError::Help),
+        _ => {
             return Err(CliError::Usage(format!(
-                "{flag} only applies to 'scenario run'; 'scenario expand' is a dry run"
-            )));
+                "unknown scenario subcommand '{action}' (expected run | expand | diff)"
+            )))
         }
     }
+    let p = Args::parse(&args[1..], "scenario argument", SCENARIO, 1)?;
+    if let (Some((flag, _)), "expand") = (p.flags.first(), action.as_str()) {
+        return Err(CliError::Usage(format!(
+            "{flag} only applies to 'scenario run'; 'scenario expand' is a dry run"
+        )));
+    }
+    let threads = p.value("--threads", str::parse)?;
+    let file = p
+        .positional
+        .first()
+        .ok_or_else(|| CliError::Usage(format!("scenario {action} needs a <file.toml>")))?;
+    let full_spec = tacos_scenario::ScenarioSpec::from_file(file)
+        .map_err(|e| CliError::Runtime(e.to_string()))?;
+    let quick = p.has("--quick");
     if quick && full_spec.quick.is_none() {
         return Err(CliError::Runtime(format!(
             "--quick: scenario '{}' declares no [quick] section",
@@ -250,15 +362,14 @@ fn scenario_command(args: &[String]) -> Result<(), CliError> {
     if let Some(n) = threads {
         spec.run.threads = n;
     }
-    if let Some(c) = cache {
-        spec.run.cache = c;
+    // The last of `--cache DIR` and `--no-cache` wins.
+    if let Some((_, dir)) = p.flags.iter().rev().find(|(f, _)| f.ends_with("-cache")) {
+        spec.run.cache = dir.map(str::to_owned);
     }
-    if let Some(stem) = output {
+    if let Some(stem) = p.text("--output") {
         spec.output = Some(stem);
     }
-    if quiet {
-        spec.run.quiet = true;
-    }
+    spec.run.quiet |= p.has("--quiet");
 
     match action.as_str() {
         "expand" => {
@@ -398,84 +509,35 @@ fn scenario_command(args: &[String]) -> Result<(), CliError> {
 /// until SIGINT/SIGTERM or a client `shutdown` op, then drains workers
 /// and persists the warm cache.
 fn serve_command(args: &[String]) -> Result<(), CliError> {
+    let p = Args::parse(args, "serve argument", SERVE, 0)?;
     let mut config = tacos_serve::DaemonConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--addr" => config.addr = take("--addr")?,
-            "--workers" => {
-                config.workers = take("--workers")?
-                    .parse()
-                    .map_err(|e| format!("bad --workers: {e}"))?
-            }
-            "--queue-depth" => {
-                config.queue_depth = take("--queue-depth")?
-                    .parse()
-                    .map_err(|e| format!("bad --queue-depth: {e}"))?
-            }
-            "--cache-dir" => config.cache_dir = Some(take("--cache-dir")?.into()),
-            "--deadline-ms" => {
-                config.default_deadline_ms = Some(
-                    take("--deadline-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline-ms: {e}"))?,
-                )
-            }
-            "--checkpoint-every" => {
-                let secs: u64 = take("--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("bad --checkpoint-every: {e}"))?;
-                if secs == 0 {
-                    return Err(CliError::Usage(
-                        "--checkpoint-every must be at least 1 second".into(),
-                    ));
-                }
-                config.checkpoint_every = Some(std::time::Duration::from_secs(secs));
-            }
-            "--max-line-bytes" => {
-                config.max_line_bytes = take("--max-line-bytes")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-line-bytes: {e}"))?
-            }
-            "--idle-timeout-secs" => {
-                let secs: u64 = take("--idle-timeout-secs")?
-                    .parse()
-                    .map_err(|e| format!("bad --idle-timeout-secs: {e}"))?;
-                config.idle_timeout = (secs > 0).then(|| std::time::Duration::from_secs(secs));
-            }
-            "--max-connections" => {
-                config.max_connections = take("--max-connections")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-connections: {e}"))?
-            }
-            "--retry-after-ms" => {
-                config.retry_after_ms = take("--retry-after-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --retry-after-ms: {e}"))?
-            }
-            "--warm-max-entries" => {
-                config.warm_limits.max_entries = take("--warm-max-entries")?
-                    .parse()
-                    .map_err(|e| format!("bad --warm-max-entries: {e}"))?
-            }
-            "--warm-max-bytes" => {
-                config.warm_limits.max_bytes = parse_size(&take("--warm-max-bytes")?)
-                    .map_err(|e| format!("bad --warm-max-bytes: {e}"))?
-                    .as_u64()
-            }
-            "--faults" => {
-                config.faults = tacos_serve::FaultPlan::parse(&take("--faults")?)
-                    .map_err(|e| format!("bad --faults: {e}"))?
-            }
-            "--quiet" => config.quiet = true,
-            other => return Err(CliError::Usage(format!("unknown serve argument '{other}'"))),
+    p.set("--addr", &mut config.addr)?;
+    p.set("--workers", &mut config.workers)?;
+    p.set("--queue-depth", &mut config.queue_depth)?;
+    config.cache_dir = p.text("--cache-dir").map(Into::into);
+    config.default_deadline_ms = p.value("--deadline-ms", str::parse)?;
+    if let Some(secs) = p.value("--checkpoint-every", str::parse)? {
+        if secs == 0 {
+            return Err(CliError::Usage(
+                "--checkpoint-every must be at least 1 second".into(),
+            ));
         }
+        config.checkpoint_every = Some(Duration::from_secs(secs));
     }
+    p.set("--max-line-bytes", &mut config.max_line_bytes)?;
+    if let Some(secs) = p.value("--idle-timeout-secs", str::parse)? {
+        config.idle_timeout = (secs > 0).then(|| Duration::from_secs(secs));
+    }
+    p.set("--max-connections", &mut config.max_connections)?;
+    p.set("--retry-after-ms", &mut config.retry_after_ms)?;
+    p.set("--warm-max-entries", &mut config.warm_limits.max_entries)?;
+    if let Some(bytes) = p.value("--warm-max-bytes", parse_size)? {
+        config.warm_limits.max_bytes = bytes.as_u64();
+    }
+    if let Some(plan) = p.value("--faults", tacos_serve::FaultPlan::parse)? {
+        config.faults = plan;
+    }
+    config.quiet = p.has("--quiet");
 
     tacos_core::shutdown::install();
     let quiet = config.quiet;
@@ -517,22 +579,10 @@ fn serve_command(args: &[String]) -> Result<(), CliError> {
 /// torn checkpoints salvaged, oversized lines bounded, overload
 /// recoverable. Nonzero exit on the first violated invariant.
 fn chaos_command(args: &[String]) -> Result<(), CliError> {
+    let p = Args::parse(args, "chaos argument", CHAOS, 0)?;
     let mut options = tacos_serve::ChaosOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("missing value for --seed".into()))?;
-                options.seed = v
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("bad --seed: {e}")))?;
-            }
-            "--quiet" => options.quiet = true,
-            other => return Err(CliError::Usage(format!("unknown chaos argument '{other}'"))),
-        }
-    }
+    p.set("--seed", &mut options.seed)?;
+    options.quiet = p.has("--quiet");
     let report = tacos_serve::chaos::run(&options).map_err(|violation| {
         CliError::Runtime(format!("chaos (seed {}): {violation}", options.seed))
     })?;
@@ -549,24 +599,11 @@ fn chaos_command(args: &[String]) -> Result<(), CliError> {
 /// repo-native static analyses. Exit is nonzero when any finding is not
 /// absorbed by `lint.baseline`, so CI can gate on it directly.
 fn lint_command(args: &[String]) -> Result<(), CliError> {
-    let mut root = std::path::PathBuf::from(".");
-    let mut fix = false;
-    let mut stats = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("missing value for --root".into()))?;
-                root = std::path::PathBuf::from(v);
-            }
-            "--fix-baseline" => fix = true,
-            "--stats" => stats = true,
-            other => return Err(CliError::Usage(format!("unknown lint argument '{other}'"))),
-        }
-    }
-    let opts = tacos_lint::Options::new(root);
+    let p = Args::parse(args, "lint argument", LINT, 0)?;
+    let root = p.text("--root").unwrap_or_else(|| ".".into());
+    let fix = p.has("--fix-baseline");
+    let stats = p.has("--stats");
+    let opts = tacos_lint::Options::new(root.into());
     if fix {
         let n = tacos_lint::fix_baseline(&opts).map_err(CliError::Runtime)?;
         println!("tacos lint: baseline rewritten with {n} grandfathered finding(s)");
@@ -591,34 +628,16 @@ fn lint_command(args: &[String]) -> Result<(), CliError> {
 /// `tacos scenario diff <a.csv> <b.csv> [--tol T]`: column-aware compare
 /// of two shaped result sets; mismatches print and exit nonzero.
 fn scenario_diff(args: &[String]) -> Result<(), CliError> {
-    let a = args
-        .first()
-        .ok_or_else(|| CliError::Usage("scenario diff needs <a.csv> <b.csv>".into()))?;
-    let b = args
-        .get(1)
-        .ok_or_else(|| CliError::Usage("scenario diff needs <a.csv> <b.csv>".into()))?;
-    let mut tol = 1e-9f64;
-    let mut it = args.iter().skip(2);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--tol" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("missing value for --tol".into()))?;
-                tol = v
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("bad --tol: {e}")))?;
-                if !tol.is_finite() || tol < 0.0 {
-                    return Err(CliError::Usage("--tol must be a finite value >= 0".into()));
-                }
-            }
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown scenario diff argument '{other}'"
-                )))
-            }
-        }
+    let p = Args::parse(args, "scenario diff argument", DIFF, 2)?;
+    let tol = p.value("--tol", str::parse::<f64>)?.unwrap_or(1e-9);
+    if !tol.is_finite() || tol < 0.0 {
+        return Err(CliError::Usage("--tol must be a finite value >= 0".into()));
     }
+    let [a, b] = p.positional[..] else {
+        return Err(CliError::Usage(
+            "scenario diff needs <a.csv> <b.csv>".into(),
+        ));
+    };
     let report =
         tacos_scenario::diff_csv_files(a, b, tol).map_err(|e| CliError::Runtime(e.to_string()))?;
     if report.is_match() {
@@ -629,76 +648,32 @@ fn scenario_diff(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn run_single_point(args: &[String]) -> Result<(), String> {
-    let mut topology_spec = String::from("mesh:3x3");
-    let mut pattern = String::from("all-reduce");
-    let mut size = String::from("64MB");
-    let mut algo = String::from("tacos");
+fn run_single_point(args: &[String]) -> Result<(), CliError> {
+    let p = Args::parse(args, "argument", POINT, 0)?;
+    let topology_spec = p.text("--topology").unwrap_or_else(|| "mesh:3x3".into());
+    let pattern = p
+        .text("--collective")
+        .unwrap_or_else(|| "all-reduce".into());
+    let size = p.text("--size").unwrap_or_else(|| "64MB".into());
+    let algo = p.text("--algo").unwrap_or_else(|| "tacos".into());
     let mut link = LinkAxis::default_paper();
-    let mut seed = 42u64;
-    let mut attempts = 1usize;
-    let mut chunks = 1usize;
-    let mut simulate = false;
-    let mut json = false;
-    let mut export_json: Option<String> = None;
-    let mut export_xml: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--topology" => topology_spec = take("--topology")?,
-            "--collective" => pattern = take("--collective")?,
-            "--size" => size = take("--size")?,
-            "--algo" => algo = take("--algo")?,
-            "--alpha" => {
-                link.alpha_us = take("--alpha")?
-                    .parse()
-                    .map_err(|e| format!("bad --alpha: {e}"))?
-            }
-            "--bw" => {
-                link.bandwidth_gbps = take("--bw")?
-                    .parse()
-                    .map_err(|e| format!("bad --bw: {e}"))?
-            }
-            "--seed" => {
-                seed = take("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--attempts" => {
-                attempts = take("--attempts")?
-                    .parse()
-                    .map_err(|e| format!("bad --attempts: {e}"))?
-            }
-            "--chunks" => {
-                chunks = take("--chunks")?
-                    .parse()
-                    .map_err(|e| format!("bad --chunks: {e}"))?
-            }
-            "--simulate" => simulate = true,
-            "--json" => json = true,
-            "--export-json" => export_json = Some(take("--export-json")?),
-            "--export-xml" => export_xml = Some(take("--export-xml")?),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(());
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
+    p.set("--alpha", &mut link.alpha_us)?;
+    p.set("--bw", &mut link.bandwidth_gbps)?;
+    let seed = p.value("--seed", str::parse)?.unwrap_or(42u64);
+    let attempts = p.value("--attempts", str::parse)?.unwrap_or(1usize);
+    let chunks = p.value("--chunks", str::parse)?.unwrap_or(1usize);
+    let simulate = p.has("--simulate");
+    let json = p.has("--json");
+    let export_json = p.text("--export-json");
+    let export_xml = p.text("--export-xml");
 
     link.check().map_err(|e| format!("link {link}: {e}"))?;
     // The daemon's wording for the same request fields.
     if chunks == 0 {
-        return Err("'chunks' must be >= 1".into());
+        return Err(CliError::Usage("'chunks' must be >= 1".into()));
     }
     if attempts == 0 {
-        return Err("'attempts' must be >= 1".into());
+        return Err(CliError::Usage("'attempts' must be >= 1".into()));
     }
     let topo = parse_topology(&topology_spec, link.to_spec())?;
     let size = parse_size(&size)?;
@@ -1035,5 +1010,48 @@ cache = false
             "--simulate".into(),
         ])
         .unwrap();
+    }
+
+    /// Every row of every flag table: a value flag with no value, a
+    /// numeric flag given a word, an unknown flag and `--help` each end
+    /// the command before it acts.
+    #[test]
+    fn every_flag_rejects_bad_input_with_a_usage_error() {
+        let prefixes: [&[&str]; 6] = [
+            &[],
+            &["scenario", "run"],
+            &["scenario", "diff"],
+            &["serve"],
+            &["chaos"],
+            &["lint"],
+        ];
+        const NUMERIC: [&str; 8] = ["N", "K", "US", "GBPS", "MS", "SECS", "T", "B"];
+        for ((_, table), prefix) in SECTIONS.iter().zip(prefixes) {
+            let call = |rest: &[&str]| {
+                let args: Vec<String> = prefix.iter().chain(rest).map(|a| a.to_string()).collect();
+                run(&args)
+            };
+            let unknown = call(&["--no-such-flag"]).unwrap_err();
+            assert!(
+                matches!(&unknown, CliError::Usage(m) if m.starts_with("unknown ")
+                    && m.ends_with(" argument '--no-such-flag'")),
+                "{prefix:?}: {unknown:?}"
+            );
+            assert_eq!(call(&["--help"]), Err(CliError::Help), "{prefix:?}");
+            for flag in table.iter() {
+                let Some(placeholder) = flag.value else {
+                    continue;
+                };
+                let missing = format!("missing value for {}", flag.name);
+                assert_eq!(call(&[flag.name]), Err(CliError::Usage(missing)));
+                if NUMERIC.contains(&placeholder) {
+                    match call(&[flag.name, "x"]) {
+                        Err(CliError::Usage(m))
+                            if m.starts_with(&format!("bad {}: ", flag.name)) => {}
+                        other => panic!("{prefix:?} {} x: {other:?}", flag.name),
+                    }
+                }
+            }
+        }
     }
 }

@@ -169,3 +169,34 @@ fn chunks_over_the_pair_limit_are_a_usage_error() {
         );
     }
 }
+
+/// A spec string that describes an absurd fabric is one usage error, not
+/// an aborted allocation. The address-space cap makes a regression fail
+/// fast instead of exhausting the machine: without the size bound
+/// `fc:100000` asks for a 1.6 GB link table.
+#[cfg(unix)]
+#[test]
+fn an_oversized_topology_is_one_error_line_under_a_memory_cap() {
+    for spec in [
+        "fc:100000",
+        "mesh:4294967296x4294967297",
+        "switch:100000:d99999",
+    ] {
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg("ulimit -v 1500000; exec \"$0\" --topology \"$1\" --algo ideal --json")
+            .arg(env!("CARGO_BIN_EXE_tacos"))
+            .arg(spec)
+            .output()
+            .expect("sh runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{spec}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{spec}: {stderr}");
+        assert!(
+            errors[0].ends_with("over the limit of 33554432"),
+            "{spec}: {stderr}"
+        );
+    }
+}

@@ -417,14 +417,6 @@ impl CollectiveAlgorithm {
         Ok(())
     }
 
-    /// The hop sequence of `chunk` as `(src, dst)` pairs in schedule order
-    /// (falling back to insertion order for unscheduled algorithms).
-    pub fn chunk_path(&self, chunk: ChunkId) -> Vec<(NpuId, NpuId)> {
-        let mut hops: Vec<&Transfer> = self.transfers.iter().filter(|t| t.chunk == chunk).collect();
-        hops.sort_by_key(|t| t.start().unwrap_or(Time::ZERO));
-        hops.iter().map(|t| (t.src, t.dst)).collect()
-    }
-
     /// Re-expresses, in place, a schedule whose times are multiples of the
     /// cost quantum `from` at the quantum `to`: every start, duration and
     /// the planned time `t` becomes `t / from × to`, and the chunk and
@@ -873,13 +865,6 @@ mod tests {
         assert_eq!(t.src(), NpuId::new(1));
         assert_eq!(t.end(), Some(Time::from_ps(20)));
         assert_eq!(t.deps(), &[TransferId::new(0)]);
-        assert_eq!(
-            a.chunk_path(ChunkId::new(0)),
-            vec![
-                (NpuId::new(0), NpuId::new(1)),
-                (NpuId::new(1), NpuId::new(2))
-            ]
-        );
         assert!(format!("{a}").contains("2 transfers"));
     }
 

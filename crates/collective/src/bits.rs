@@ -139,12 +139,6 @@ fn first_and_word_summary(
     None
 }
 
-/// Summary-guided [`any_and`]: `true` if `a & b` has any set bit, loading
-/// only words both summaries mark populated.
-pub(crate) fn any_and_summary(a: &[u64], b: &[u64], sa: &[u64], sb: &[u64]) -> bool {
-    first_and_word_summary(a, b, sa, sb, 0, a.len()).is_some()
-}
-
 /// Summary-guided [`pick_and`]: identical result, but both circular
 /// ranges skip words either summary marks empty. Handles the empty
 /// intersection itself (returns `None` after one pass over the
@@ -410,11 +404,6 @@ mod tests {
                     .map(|i| if i % 4 == 2 { 0 } else { thin(next(), 1) })
                     .collect();
                 let (sa, sb) = (summarize(&a), summarize(&b));
-                assert_eq!(
-                    any_and_summary(&a, &b, &sa, &sb),
-                    any_and(&a, &b),
-                    "words={words} sparsity={sparsity}"
-                );
                 for start in 0..words * 64 {
                     assert_eq!(
                         pick_and_summary(&a, &b, &sa, &sb, start),
@@ -431,7 +420,6 @@ mod tests {
                 }
             }
         }
-        assert!(!any_and_summary(&[], &[], &[0], &[0]));
         assert_eq!(pick_and_summary(&[], &[], &[0], &[0], 5), None);
     }
 

@@ -18,8 +18,9 @@ use crate::pattern::CollectivePattern;
 /// for a 64 GB provider table before anything looked at it. 2^25 (about
 /// 33.6 M pairs, a 128 MiB provider table) is twice the largest
 /// legitimate case known: a 32×32 mesh with chunking factor 16, 16.8 M
-/// pairs.
-pub const MAX_NPU_CHUNK_PAIRS: u64 = 1 << 25;
+/// pairs. It is the bound a topology spec's NPU and link counts are held
+/// to, one constant for both.
+pub const MAX_NPU_CHUNK_PAIRS: u64 = tacos_topology::MAX_SPEC_ELEMENTS;
 
 /// A collective communication to synthesize or execute: a pattern, a
 /// participant count, a payload size, and a chunking factor.

@@ -228,11 +228,6 @@ impl ChunkMatrix {
         self.row(r).iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// `true` if row `r` holds no chunk.
-    pub fn row_is_empty(&self, r: usize) -> bool {
-        self.row(r).iter().all(|&w| w == 0)
-    }
-
     /// In-place row difference: `row dst \= row src`.
     pub fn subtract_rows(&mut self, dst: usize, src: usize) {
         for w in 0..self.stride {
@@ -283,20 +278,6 @@ impl ChunkMatrix {
         }
     }
 
-    /// `true` if `row ra ∩ row rb` is non-empty (the pre-check alone).
-    pub fn rows_intersect(&self, ra: usize, rb: usize) -> bool {
-        let (sa, sb) = (self.sum_row(ra), self.sum_row(rb));
-        let cand: u32 = sa.iter().zip(sb).map(|(&x, &y)| (x & y).count_ones()).sum();
-        if cand == 0 {
-            return false;
-        }
-        if cand as usize * 3 >= self.stride {
-            bits::any_and(self.row(ra), self.row(rb))
-        } else {
-            bits::any_and_summary(self.row(ra), self.row(rb), sa, sb)
-        }
-    }
-
     /// Picks one chunk from `row ra \ row minus` satisfying `pred`,
     /// scanning circularly from bit offset `start_bit` (same semantics as
     /// [`ChunkSet::pick_excluding_where`]).
@@ -341,7 +322,7 @@ mod tests {
         assert!(!m.contains(2, ChunkId::new(5)));
         assert!(m.remove(0, ChunkId::new(5)));
         assert!(!m.remove(0, ChunkId::new(5)));
-        assert!(m.row_is_empty(0));
+        assert_eq!(m.row_len(0), 0);
         assert_eq!(m.row_len(1), 1);
     }
 
@@ -437,10 +418,8 @@ mod tests {
         for i in 0..256 {
             m.remove(1, ChunkId::new(i));
         }
-        assert!(!m.rows_intersect(0, 1));
         assert_eq!(m.pick_intersection(0, 1, 17), None);
         m.insert(1, ChunkId::new(300));
-        assert!(m.rows_intersect(0, 1));
         assert_eq!(m.pick_intersection(0, 1, 0), Some(ChunkId::new(300)));
         // subtract_rows and copy_rows keep the summary exact too.
         let mut c = ChunkMatrix::new(2, capacity);
@@ -454,7 +433,7 @@ mod tests {
         assert_eq!(c.pick_intersection(0, 1, 0), None);
         c.copy_rows(0, 1);
         assert_eq!(c.row_to_set(0), c.row_to_set(1));
-        assert!(c.rows_intersect(0, 1));
+        assert!(c.pick_intersection(0, 1, 0).is_some());
     }
 
     #[test]
@@ -466,7 +445,7 @@ mod tests {
         assert_eq!(m.capacity(), 64);
         assert_eq!(m.stride(), 1);
         for r in 0..4 {
-            assert!(m.row_is_empty(r));
+            assert_eq!(m.row_len(r), 0);
         }
     }
 

@@ -81,15 +81,6 @@ impl<T: Clone> Flight<T> {
             done = guard;
         }
     }
-
-    /// Whether the result has been published (non-blocking).
-    pub fn is_done(&self) -> bool {
-        self.0
-            .done
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_some()
-    }
 }
 
 /// The role [`InFlightRegistry::begin`] assigned to a caller.
@@ -232,11 +223,9 @@ mod tests {
         let entry = registry.begin("slow");
         let flight = entry.flight().clone();
         assert_eq!(flight.wait_timeout(Duration::from_millis(10)), None);
-        assert!(!flight.is_done());
         // The flight is still live; completion reaches late waiters.
         registry.complete("slow", 7);
         assert_eq!(flight.wait_timeout(Duration::from_millis(10)), Some(7));
-        assert!(flight.is_done());
     }
 
     #[test]

@@ -117,13 +117,6 @@ pub struct WarmLimits {
     pub max_bytes: u64,
 }
 
-impl WarmLimits {
-    /// `true` when neither cap is set.
-    pub fn is_unbounded(&self) -> bool {
-        self.max_entries == 0 && self.max_bytes == 0
-    }
-}
-
 /// One resident entry plus its eviction bookkeeping.
 #[derive(Debug)]
 struct Resident {

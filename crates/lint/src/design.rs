@@ -182,8 +182,28 @@ pub fn analyze_rename(f: &SourceFile) -> Vec<Finding> {
     out
 }
 
-/// Flags `BaselineAlgorithm::new(` / `Simulator::new(` in the front-end
-/// crates' production source (test code may build references freely).
+/// Constructors the front-end crates' production source must not call,
+/// each with the one place that owns what it builds.
+const OWNED_CONSTRUCTORS: [(&str, &str, &str); 6] = [
+    ("BaselineAlgorithm", "new", PIPELINE),
+    ("Simulator", "new", PIPELINE),
+    ("Topology", "rfs_3d", FABRICS),
+    ("Topology", "switch_2d", FABRICS),
+    ("Topology", "dragonfly", FABRICS),
+    ("TopologyBuilder", "new", FABRICS),
+];
+
+const PIPELINE: &str = "mechanisms are generated and timed only by tacos-workload's \
+     evaluation pipeline (Mechanism::plan / Generation::generate / Evaluator::evaluate); \
+     call that instead of growing a private copy";
+
+const FABRICS: &str = "fabrics are built only by tacos-topology's spec vocabulary \
+     (parse_topology / CustomTopology::build); extend that instead of growing a private \
+     parser";
+
+/// Flags a call of an `OWNED_CONSTRUCTORS` entry (`Simulator::new(`,
+/// `Topology::rfs_3d(`, ...) in the front-end crates' production source
+/// (test code may build references freely).
 pub fn analyze_pipeline_copies(f: &SourceFile) -> Vec<Finding> {
     const FRONT_ENDS: [&str; 3] = [
         "crates/cli/src/",
@@ -196,23 +216,19 @@ pub fn analyze_pipeline_copies(f: &SourceFile) -> Vec<Finding> {
     }
     for w in f.toks.windows(5) {
         let text = |i: usize| w[i].text.as_str();
-        let ty = text(0);
-        if matches!(ty, "BaselineAlgorithm" | "Simulator")
-            && [text(1), text(2), text(3), text(4)] == [":", ":", "new", "("]
-            && !f.in_test_code(w[0].line)
-        {
-            out.push(Finding {
-                rule: Rule::Design,
-                file: f.rel.clone(),
-                line: w[0].line,
-                token: format!("{ty}::new"),
-                message: format!(
-                    "`{ty}::new(` in a front-end crate — mechanisms are generated and timed \
-                     only by tacos-workload's evaluation pipeline (Mechanism::plan / \
-                     Generation::generate / Evaluator::evaluate); call that instead of \
-                     growing a private copy"
-                ),
-            });
+        let owned = OWNED_CONSTRUCTORS
+            .iter()
+            .find(|&&(ty, func, _)| [text(0), text(1), text(2), text(3)] == [ty, ":", ":", func]);
+        if let Some(&(ty, func, owner)) = owned {
+            if text(4) == "(" && !f.in_test_code(w[0].line) {
+                out.push(Finding {
+                    rule: Rule::Design,
+                    file: f.rel.clone(),
+                    line: w[0].line,
+                    token: format!("{ty}::{func}"),
+                    message: format!("`{ty}::{func}(` in a front-end crate — {owner}"),
+                });
+            }
         }
     }
     out
@@ -380,6 +396,13 @@ mod tests {
         let f = analyze_pipeline_copies(&front);
         assert_eq!(f.len(), 1, "test-code construction is exempt: {f:?}");
         assert_eq!((f[0].line, f[0].token.as_str()), (2, "Simulator::new"));
+        let fabric = "fn build() {\n  Topology::dragonfly(4, 4, l, g)\n}\n\
+                      fn name() { Topology::rfs_3d }\n";
+        let front = SourceFile::parse("crates/serve/src/daemon.rs".into(), fabric.into());
+        let f = analyze_pipeline_copies(&front);
+        assert_eq!(f.len(), 1, "only a call is flagged: {f:?}");
+        assert_eq!((f[0].line, f[0].token.as_str()), (2, "Topology::dragonfly"));
+        assert!(f[0].message.contains("CustomTopology::build"), "{f:?}");
         // The pipeline's own crate (and every non-front-end crate) may
         // construct both.
         let owner = SourceFile::parse("crates/workload/src/evaluate.rs".into(), src.into());

@@ -99,6 +99,13 @@ fn broken_tree_fails_every_rule_with_location() {
     // evaluation pipeline.
     assert!(has(Rule::Design, "crates/serve/src/copy.rs", 5), "copy");
 
+    // Design: a front-end crate building a fabric outside the topology
+    // spec vocabulary.
+    assert!(
+        has(Rule::Design, "crates/scenario/src/fabric.rs", 5),
+        "fabric"
+    );
+
     // Design: a scenario consumer spelling an axis name instead of
     // reading the axis table.
     assert!(

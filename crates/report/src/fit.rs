@@ -44,40 +44,6 @@ pub fn fit_power(xs: &[f64], ys: &[f64], power: f64) -> Fit {
     }
 }
 
-/// Ordinary least squares for `y ≈ a·x + b`.
-///
-/// # Panics
-/// Panics if inputs differ in length or have fewer than 2 samples.
-pub fn fit_linear(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
-    assert_eq!(xs.len(), ys.len(), "mismatched sample lengths");
-    assert!(xs.len() >= 2, "at least two samples required");
-    let n = xs.len() as f64;
-    let sx: f64 = xs.iter().sum();
-    let sy: f64 = ys.iter().sum();
-    let sxx: f64 = xs.iter().map(|x| x * x).sum();
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| x * y).sum();
-    let denom = n * sxx - sx * sx;
-    let a = if denom == 0.0 {
-        0.0
-    } else {
-        (n * sxy - sx * sy) / denom
-    };
-    let b = (sy - a * sx) / n;
-    let mean_y = sy / n;
-    let ss_tot: f64 = ys.iter().map(|y| (y - mean_y).powi(2)).sum();
-    let ss_res: f64 = xs
-        .iter()
-        .zip(ys)
-        .map(|(x, y)| (y - (a * x + b)).powi(2))
-        .sum();
-    let r2 = if ss_tot == 0.0 {
-        1.0
-    } else {
-        1.0 - ss_res / ss_tot
-    };
-    (a, b, r2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,15 +76,5 @@ mod tests {
         let quad = fit_power(&xs, &ys, 2.0);
         let cube = fit_power(&xs, &ys, 3.0);
         assert!(cube.r_squared > quad.r_squared);
-    }
-
-    #[test]
-    fn linear_fit() {
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys = [1.0, 3.0, 5.0, 7.0];
-        let (a, b, r2) = fit_linear(&xs, &ys);
-        assert!((a - 2.0).abs() < 1e-9);
-        assert!((b - 1.0).abs() < 1e-9);
-        assert!(r2 > 0.9999);
     }
 }

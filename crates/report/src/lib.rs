@@ -12,6 +12,6 @@ mod output;
 mod parse;
 mod table;
 
-pub use fit::{fit_linear, fit_power, Fit};
+pub use fit::{fit_power, Fit};
 pub use output::{to_csv, Json};
 pub use table::{fmt_f64, Table};

@@ -56,10 +56,9 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::path::Path;
 
-use tacos_topology::{Bandwidth, LinkId, LinkSpec, NpuId, Time, Topology, TopologyBuilder};
+use tacos_topology::{LinkSpec, Topology};
 use tacos_workload::{Parallelism, Workload};
 
 use crate::axis::{self, declare, Axis, AxisValue, Cell, Column, Constraint, Place, Source, AXES};
@@ -72,43 +71,11 @@ pub use crate::axis::SweepAxes;
 /// (`tacos-topology`, `tacos-collective`, `tacos-workload`); re-exported
 /// so scenario files, the CLI and the parity tests keep one import path.
 pub use tacos_collective::parse_pattern;
-pub use tacos_topology::{parse_size, parse_topology, LinkAxis};
+pub use tacos_topology::{
+    parse_size, parse_topology, select_failed_links, CustomLink, CustomTopology,
+    CustomTopologyBody, LinkAxis, WithoutLinks,
+};
 pub use tacos_workload::parse_baseline;
-
-/// One value of the `without_links` failure-injection axis: how many (or
-/// exactly which) links to kill before running the point.
-///
-/// In a scenario file an **integer** is a victim *count* — that many
-/// links are selected seed-deterministically (see
-/// [`select_failed_links`]) — while a **string** of `+`-separated link
-/// ids (`"13"`, `"13+27"`) names the victims explicitly. `0` (the
-/// default) runs the healthy topology.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WithoutLinks {
-    /// Kill this many links, chosen seed-deterministically among
-    /// selections that keep the topology strongly connected.
-    Count(usize),
-    /// Kill exactly these link ids (of the healthy topology).
-    Links(Vec<u32>),
-}
-
-impl WithoutLinks {
-    /// Whether this value leaves the topology untouched.
-    pub fn is_healthy(&self) -> bool {
-        matches!(self, WithoutLinks::Count(0))
-    }
-
-    /// The axis label used in CSV rows, point labels, and `[[exclude]]` /
-    /// `group_by` matching: the count, or the `+`-joined id list.
-    pub fn label(&self) -> String {
-        match self {
-            WithoutLinks::Count(n) => n.to_string(),
-            WithoutLinks::Links(ids) => {
-                ids.iter().map(u32::to_string).collect::<Vec<_>>().join("+")
-            }
-        }
-    }
-}
 
 impl AxisValue for WithoutLinks {
     fn parse(path: &str, v: &Value) -> Result<Self, ScenarioError> {
@@ -146,244 +113,6 @@ impl AxisValue for WithoutLinks {
 
     fn cell(&self) -> Cell {
         Cell::Str(self.label())
-    }
-}
-
-impl fmt::Display for WithoutLinks {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
-    }
-}
-
-/// Resolves a `without_links` axis value into the victim link ids for
-/// `topo`.
-///
-/// Explicit lists are returned as-is (range/connectivity validation
-/// happens in [`Topology::without_links`]). Counts are resolved
-/// deterministically from `seed`: victims are drawn one at a time from a
-/// seed-keyed xorshift stream, and a candidate that would disconnect the
-/// surviving fabric is skipped in favor of the next id in rotation, so a
-/// fixed `(topology, seed, count)` always yields the same victim set.
-///
-/// # Errors
-/// Returns a message if a count is out of range or no connected
-/// selection exists at some step.
-pub fn select_failed_links(
-    topo: &Topology,
-    axis: &WithoutLinks,
-    seed: u64,
-) -> Result<Vec<LinkId>, String> {
-    let count = match axis {
-        WithoutLinks::Links(ids) => {
-            return Ok(ids.iter().map(|&id| LinkId::new(id)).collect());
-        }
-        WithoutLinks::Count(n) => *n,
-    };
-    if count >= topo.num_links() {
-        return Err(format!(
-            "cannot remove {count} of {} links",
-            topo.num_links()
-        ));
-    }
-    // Seed-keyed xorshift stream; `| 1` keeps the state nonzero.
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut victims: Vec<LinkId> = Vec::with_capacity(count);
-    while victims.len() < count {
-        // Candidate ids of the *healthy* topology not yet removed, in a
-        // stable order; probe from a pseudo-random rotation point.
-        let alive: Vec<LinkId> = (0..topo.num_links() as u32)
-            .map(LinkId::new)
-            .filter(|id| !victims.contains(id))
-            .collect();
-        let offset = (next() % alive.len() as u64) as usize;
-        let chosen = (0..alive.len())
-            .map(|i| alive[(offset + i) % alive.len()])
-            .find(|&candidate| {
-                let mut attempt = victims.clone();
-                attempt.push(candidate);
-                topo.without_links(&attempt).is_ok()
-            });
-        match chosen {
-            Some(candidate) => victims.push(candidate),
-            None => {
-                return Err(format!(
-                    "no selection of {count} links keeps '{}' strongly connected \
-                     (stuck after {})",
-                    topo.name(),
-                    victims.len()
-                ));
-            }
-        }
-    }
-    Ok(victims)
-}
-
-/// One directed (or bidirectional) link of a builder-described topology.
-#[derive(Debug, Clone, Copy)]
-pub struct CustomLink {
-    /// Source NPU index.
-    pub src: u32,
-    /// Destination NPU index.
-    pub dst: u32,
-    /// Link cost parameters.
-    pub link: LinkAxis,
-    /// Whether to add the reverse direction too.
-    pub bidi: bool,
-}
-
-/// A heterogeneous network described in the scenario file, referenced
-/// from `sweep.topology` as `custom:<name>`.
-#[derive(Debug, Clone)]
-pub struct CustomTopology {
-    /// Name referenced from `sweep.topology` as `custom:<name>`.
-    pub name: String,
-    /// How the network is described.
-    pub body: CustomTopologyBody,
-}
-
-/// The two `[[topologies]]` description forms.
-#[derive(Debug, Clone)]
-pub enum CustomTopologyBody {
-    /// Link-by-link builder form: `npus` plus `[[topologies.links]]`
-    /// entries (arbitrary structure, per-link specs — e.g. mixed
-    /// mesh/switch fabrics).
-    Links {
-        /// Number of NPUs.
-        npus: usize,
-        /// The links.
-        links: Vec<CustomLink>,
-    },
-    /// Family form: a canonical constructor spec (`base`) with explicit
-    /// per-tier bandwidth overrides, so heterogeneous systems with
-    /// absolute tier bandwidths (paper §VI-B.1) can be enumerated as
-    /// axis values without going through the shared `link` axis.
-    Family {
-        /// A [`parse_topology`] constructor spec without a ratio suffix
-        /// (`dragonfly:5x4`, `switch2d:8x4`, `rfs:2x4x8`, `mesh:3x3`).
-        base: String,
-        /// Link latency α in microseconds, applied to every tier.
-        alpha_us: f64,
-        /// Per-tier bandwidths in GB/s, outermost-listed-first in the
-        /// base family's dimension order; homogeneous families take a
-        /// single entry.
-        tier_gbps: Vec<f64>,
-    },
-}
-
-impl CustomTopology {
-    /// Builds the [`Topology`].
-    ///
-    /// # Errors
-    /// Returns a message if an endpoint is out of range, the tier count
-    /// does not match the base family, or the built network is rejected.
-    pub fn build(&self) -> Result<Topology, String> {
-        match &self.body {
-            CustomTopologyBody::Links { npus, links } => {
-                let mut b = TopologyBuilder::new(format!("custom:{}", self.name));
-                b.npus(*npus);
-                for l in links {
-                    if l.src as usize >= *npus || l.dst as usize >= *npus {
-                        return Err(format!(
-                            "link {} -> {} out of range for {npus} NPUs",
-                            l.src, l.dst
-                        ));
-                    }
-                    if l.bidi {
-                        b.bidi_link(NpuId::new(l.src), NpuId::new(l.dst), l.link.to_spec());
-                    } else {
-                        b.link(NpuId::new(l.src), NpuId::new(l.dst), l.link.to_spec());
-                    }
-                }
-                b.build().map_err(|e| e.to_string())
-            }
-            CustomTopologyBody::Family {
-                base,
-                alpha_us,
-                tier_gbps,
-            } => build_family(base, *alpha_us, tier_gbps),
-        }
-    }
-}
-
-/// Builds a family-form custom topology: a canonical constructor with
-/// explicit per-tier bandwidths.
-fn build_family(base: &str, alpha_us: f64, tier_gbps: &[f64]) -> Result<Topology, String> {
-    let alpha = Time::from_micros(alpha_us);
-    let (kind, rest) = base.split_once(':').unwrap_or((base, ""));
-    if rest.contains(':') {
-        return Err(format!(
-            "base '{base}' must not carry a ratio suffix; tier bandwidths \
-             come from tier_gbps"
-        ));
-    }
-    let dims = |s: &str| -> Result<Vec<usize>, String> {
-        s.split('x')
-            .map(|d| {
-                d.parse::<usize>()
-                    .map_err(|e| format!("bad dimension '{d}': {e}"))
-            })
-            .collect()
-    };
-    let want_tiers = |n: usize| -> Result<(), String> {
-        if tier_gbps.len() != n {
-            return Err(format!(
-                "'{kind}' has {n} tier(s), but tier_gbps lists {}",
-                tier_gbps.len()
-            ));
-        }
-        Ok(())
-    };
-    match kind {
-        "rfs" => {
-            let d = dims(rest)?;
-            if d.len() != 3 {
-                return Err("rfs needs RxFxS".into());
-            }
-            want_tiers(3)?;
-            Topology::rfs_3d(
-                d[0],
-                d[1],
-                d[2],
-                alpha,
-                [tier_gbps[0], tier_gbps[1], tier_gbps[2]],
-            )
-            .map_err(|e| e.to_string())
-        }
-        "switch2d" => {
-            let d = dims(rest)?;
-            if d.len() != 2 {
-                return Err("switch2d needs RxC".into());
-            }
-            want_tiers(2)?;
-            Topology::switch_2d(d[0], d[1], alpha, [tier_gbps[0], tier_gbps[1]])
-                .map_err(|e| e.to_string())
-        }
-        "dragonfly" => {
-            let d = dims(rest)?;
-            if d.len() != 2 {
-                return Err("dragonfly needs GROUPSxPER_GROUP".into());
-            }
-            want_tiers(2)?;
-            Topology::dragonfly(
-                d[0],
-                d[1],
-                LinkSpec::new(alpha, Bandwidth::gbps(tier_gbps[0])),
-                LinkSpec::new(alpha, Bandwidth::gbps(tier_gbps[1])),
-            )
-            .map_err(|e| e.to_string())
-        }
-        _ => {
-            // Every single-tier (homogeneous) family goes through the
-            // shared constructor-string parser.
-            want_tiers(1)?;
-            parse_topology(base, LinkSpec::new(alpha, Bandwidth::gbps(tier_gbps[0])))
-        }
     }
 }
 
@@ -1064,6 +793,9 @@ fn parse_run(t: &Table) -> Result<RunSettings, ScenarioError> {
         if !secs.is_finite() || secs <= 0.0 {
             return Err(ScenarioError::spec("run.timeout_s must be > 0"));
         }
+        // The runner turns it into a `Duration`, which holds ~5.8e11 years.
+        std::time::Duration::try_from_secs_f64(secs)
+            .map_err(|e| ScenarioError::spec(format!("run.timeout_s = {secs}: {e}")))?;
         run.timeout_s = Some(secs);
     }
     if let Some(v) = t.get("simulate") {
@@ -1456,6 +1188,7 @@ pub(crate) fn expect_float(t: &Table, table: &str, key: &str) -> Result<f64, Sce
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tacos_topology::LinkId;
 
     const MINIMAL: &str = r#"
 [scenario]
@@ -2036,7 +1769,12 @@ topology = ["ring:4"]
             ScenarioSpec::from_toml_str(MINIMAL).unwrap().run.timeout_s,
             None
         );
-        for bad in ["timeout_s = 0", "timeout_s = -1.0", "timeout_s = \"x\""] {
+        for bad in [
+            "timeout_s = 0",
+            "timeout_s = -1.0",
+            "timeout_s = \"x\"",
+            "timeout_s = 1e20",
+        ] {
             let err = ScenarioSpec::from_toml_str(&format!(
                 "[scenario]\nname = \"t\"\n[sweep]\ntopology = [\"ring:4\"]\n[run]\n{bad}\n"
             ))
@@ -2406,6 +2144,34 @@ tier_gbps = [25.0]
             let text = format!(
                 "[scenario]\nname = \"t\"\n[sweep]\ntopology = [\"custom:x\"]\n\
                  [[topologies]]\nname = \"x\"\n{body}\n"
+            );
+            let err = ScenarioSpec::from_toml_str(&text).unwrap_err().to_string();
+            assert!(err.contains(needle), "expected '{needle}' in '{err}'");
+        }
+    }
+
+    #[test]
+    fn oversized_topologies_are_readable_spec_errors() {
+        for (topologies, needle) in [
+            ("", "topology 'fc:100000' has 9999900000 links"),
+            (
+                "[[topologies]]\nname = \"x\"\nnpus = 1099511627776\n\
+                 links = [{ src = 0, dst = 1, alpha_us = 0.5, bandwidth_gbps = 50.0 }]\n",
+                "topology 'x': topology 'custom:x' has 1099511627776 NPUs",
+            ),
+            (
+                "[[topologies]]\nname = \"x\"\nbase = \"mesh:4294967296x4294967297\"\n\
+                 alpha_us = 0.5\ntier_gbps = [50.0]\n",
+                "more than 2^64 NPUs, over the limit of 33554432",
+            ),
+        ] {
+            let topology = if topologies.is_empty() {
+                "fc:100000"
+            } else {
+                "custom:x"
+            };
+            let text = format!(
+                "[scenario]\nname = \"t\"\n[sweep]\ntopology = [\"{topology}\"]\n{topologies}"
             );
             let err = ScenarioSpec::from_toml_str(&text).unwrap_err().to_string();
             assert!(err.contains(needle), "expected '{needle}' in '{err}'");

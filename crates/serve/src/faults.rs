@@ -16,16 +16,6 @@
 use std::fmt;
 use std::time::Duration;
 
-/// What a [`FaultPlan`] injects into a specific synthesis job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobFault {
-    /// The job panics inside synthesis (exercises worker supervision).
-    Panic,
-    /// The job stalls for this long before synthesizing (exercises
-    /// deadlines, queue backpressure, and follower waits).
-    Stall(Duration),
-}
-
 /// A deterministic schedule of injected failures. All indices are
 /// **1-based** — "panic@3" fails the third job — matching how operators
 /// count and making `@0` a parse error instead of a silent no-op.

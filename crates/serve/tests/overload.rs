@@ -296,3 +296,44 @@ fn a_collective_over_the_pair_limit_gets_a_typed_error() {
     assert_eq!(stats.worker_restarts, 0, "{stats:?}");
     daemon.stop().unwrap();
 }
+
+/// A topology spec whose NPU or link count is absurd — `fc:100000` would
+/// ask for ten billion links, the mesh's NPU product wraps — is refused
+/// while the line is resolved, before the fabric is allocated, and the
+/// connection keeps answering.
+#[test]
+fn a_topology_over_the_size_limit_gets_a_typed_error() {
+    let daemon = spawn(DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::default()
+    });
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    let lines = [
+        r#"{"topology":"fc:100000","mechanism":"ideal"}"#,
+        r#"{"topology":"mesh:4294967296x4294967297"}"#,
+        r#"{"topology":"switch:100000:d99999"}"#,
+    ];
+    for line in lines {
+        let response = client.call(line).unwrap();
+        assert_eq!(
+            response.get("status").and_then(Json::as_str),
+            Some("error"),
+            "{line}: {response}"
+        );
+        let reason = response
+            .get("reason")
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        assert!(
+            reason.ends_with("over the limit of 33554432"),
+            "{line}: {reason}"
+        );
+        assert!(!reason.contains('\n'), "{line}: {reason}");
+    }
+    let pong = client.call(r#"{"op":"ping"}"#).unwrap();
+    assert_eq!(pong.get("status").and_then(Json::as_str), Some("pong"));
+    let stats = daemon.stats();
+    assert_eq!(stats.errors, lines.len() as u64, "{stats:?}");
+    assert_eq!(stats.worker_restarts, 0, "{stats:?}");
+    daemon.stop().unwrap();
+}

@@ -220,63 +220,7 @@ impl Topology {
     }
 }
 
-impl Topology {
-    /// Generalized switch unwinding (the flexible scheme §IV-G leaves as
-    /// future work): NPU `i` links to `(i + o) mod n` for every offset `o`
-    /// in `offsets`, with the port bandwidth shared across all offsets.
-    /// `switch(n, spec, d)` is the special case `offsets = [1, …, d]`;
-    /// non-contiguous offset sets (e.g. `[1, 2, 4]`) trade diameter
-    /// against per-link bandwidth differently.
-    ///
-    /// # Errors
-    /// [`TopologyError::UnsupportedShape`] if `n < 2`, `offsets` is empty,
-    /// contains 0 or a value ≥ `n`, or contains duplicates.
-    pub fn switch_unwound(
-        n: usize,
-        port_spec: LinkSpec,
-        offsets: &[usize],
-    ) -> Result<Topology, TopologyError> {
-        if n < 2 {
-            return Err(TopologyError::UnsupportedShape {
-                reason: format!("switch requires at least 2 NPUs, got {n}"),
-            });
-        }
-        if offsets.is_empty() {
-            return Err(TopologyError::UnsupportedShape {
-                reason: "at least one unwinding offset is required".into(),
-            });
-        }
-        let mut seen = vec![false; n];
-        for &o in offsets {
-            if o == 0 || o >= n {
-                return Err(TopologyError::UnsupportedShape {
-                    reason: format!("unwinding offset must be in 1..{n}, got {o}"),
-                });
-            }
-            if seen[o] {
-                return Err(TopologyError::UnsupportedShape {
-                    reason: format!("duplicate unwinding offset {o}"),
-                });
-            }
-            seen[o] = true;
-        }
-        let shared = port_spec.share_bandwidth(offsets.len() as u32);
-        let mut b = TopologyBuilder::new(format!("Switch({n},offsets={offsets:?})"));
-        b.npus(n);
-        for i in 0..n {
-            for &o in offsets {
-                b.link(
-                    NpuId::new(i as u32),
-                    NpuId::new(((i + o) % n) as u32),
-                    shared,
-                );
-            }
-        }
-        b.build()
-    }
-}
-
-fn require_side(what: &str, side: usize) -> Result<(), TopologyError> {
+pub(crate) fn require_side(what: &str, side: usize) -> Result<(), TopologyError> {
     if side < 2 {
         Err(TopologyError::UnsupportedShape {
             reason: format!("{what} requires every side >= 2, got {side}"),
@@ -397,54 +341,5 @@ mod tests {
     fn switch_rejects_bad_degree() {
         assert!(Topology::switch(4, spec(), 0).is_err());
         assert!(Topology::switch(4, spec(), 4).is_err());
-    }
-}
-
-#[cfg(test)]
-mod unwound_tests {
-    use super::*;
-    use crate::units::{Bandwidth, ByteSize, Time};
-
-    #[test]
-    fn generalized_unwinding_offsets() {
-        let port = LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(120.0));
-        // Offsets {1, 2, 4} on an 8-NPU switch: 3 links per NPU at 40 GB/s.
-        let t = Topology::switch_unwound(8, port, &[1, 2, 4]).unwrap();
-        assert_eq!(t.num_links(), 24);
-        assert!(t.has_link(NpuId::new(0), NpuId::new(4)));
-        assert!(!t.has_link(NpuId::new(0), NpuId::new(3)));
-        let l = t
-            .best_link_between(NpuId::new(0), NpuId::new(1), ByteSize::ZERO)
-            .unwrap();
-        assert_eq!(l.spec().bandwidth().as_gbps(), 40.0);
-        assert!(t.is_strongly_connected());
-        // Power-of-two offsets give logarithmic diameter: the farthest
-        // pair (0 -> 7 = 4 + 2 + 1) takes 3 alpha hops.
-        assert_eq!(t.diameter_latency(), Time::from_micros(1.5));
-    }
-
-    #[test]
-    fn generalized_unwinding_matches_contiguous_special_case() {
-        let port = LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(120.0));
-        let a = Topology::switch(6, port, 2).unwrap();
-        let b = Topology::switch_unwound(6, port, &[1, 2]).unwrap();
-        assert_eq!(a.num_links(), b.num_links());
-        for (la, lb) in a.links().iter().zip(b.links()) {
-            assert_eq!((la.src(), la.dst()), (lb.src(), lb.dst()));
-            assert_eq!(
-                la.spec().bandwidth().as_gbps(),
-                lb.spec().bandwidth().as_gbps()
-            );
-        }
-    }
-
-    #[test]
-    fn generalized_unwinding_validation() {
-        let port = LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(120.0));
-        assert!(Topology::switch_unwound(1, port, &[1]).is_err());
-        assert!(Topology::switch_unwound(4, port, &[]).is_err());
-        assert!(Topology::switch_unwound(4, port, &[0]).is_err());
-        assert!(Topology::switch_unwound(4, port, &[4]).is_err());
-        assert!(Topology::switch_unwound(4, port, &[1, 1]).is_err());
     }
 }

@@ -13,6 +13,7 @@
 
 use std::fmt;
 
+use crate::canonical::require_side;
 use crate::error::TopologyError;
 use crate::ids::NpuId;
 use crate::link::LinkSpec;
@@ -211,7 +212,7 @@ impl Topology {
     /// dimension.
     ///
     /// # Errors
-    /// Propagates [`TopologyError::BadDimensions`] for degenerate sizes.
+    /// [`TopologyError::UnsupportedShape`] if a side is below 2.
     pub fn rfs_3d(
         ring: usize,
         fc: usize,
@@ -219,6 +220,9 @@ impl Topology {
         alpha: crate::units::Time,
         bandwidths_gbps: [f64; 3],
     ) -> Result<Topology, TopologyError> {
+        for side in [ring, fc, switch] {
+            require_side("3D-RFS", side)?;
+        }
         multi_dim(
             format!("3D-RFS({ring}x{fc}x{switch})"),
             &[
@@ -245,13 +249,15 @@ impl Topology {
     /// per-dimension bandwidths.
     ///
     /// # Errors
-    /// Propagates [`TopologyError::BadDimensions`] for degenerate sizes.
+    /// [`TopologyError::UnsupportedShape`] if a side is below 2.
     pub fn switch_2d(
         d0: usize,
         d1: usize,
         alpha: crate::units::Time,
         bandwidths_gbps: [f64; 2],
     ) -> Result<Topology, TopologyError> {
+        require_side("2D switch", d0)?;
+        require_side("2D switch", d1)?;
         multi_dim(
             format!("2DSwitch({d0}x{d1})"),
             &[

@@ -21,6 +21,11 @@
 //!
 //! Arbitrary heterogeneous/asymmetric networks are built with
 //! [`TopologyBuilder`]; hierarchical compositions with [`multi_dim`].
+//! The spec vocabulary the front ends share lives here too: spec strings
+//! (`mesh:3x3`, `rfs:2x4x8:4x2x1`) go through [`parse_topology`], custom
+//! fabrics through [`CustomTopology`] (both held to
+//! [`MAX_SPEC_ELEMENTS`]), and degraded ones through
+//! [`select_failed_links`].
 //!
 //! ```
 //! use tacos_topology::{Bandwidth, LinkSpec, Time, Topology};
@@ -50,7 +55,10 @@ pub use error::TopologyError;
 pub use hierarchical::{multi_dim, Dim, DimKind};
 pub use ids::{LinkId, NpuId};
 pub use link::{Link, LinkSpec};
-pub use parse::{parse_topology, LinkAxis};
+pub use parse::{
+    parse_topology, select_failed_links, CustomLink, CustomTopology, CustomTopologyBody, LinkAxis,
+    WithoutLinks, MAX_SPEC_ELEMENTS,
+};
 pub use routing::RoutingTable;
 pub use topology::{Topology, TopologyBuilder};
 pub use units::{parse_size, Bandwidth, ByteSize, Time};

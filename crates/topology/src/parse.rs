@@ -1,10 +1,15 @@
-//! The topology spec-string vocabulary (`mesh:3x3`, `rfs:2x4x8:4x2x1`,
-//! `dgx1`, ...) shared by the CLI's `--topology` flag, scenario files'
-//! `sweep.topology` axis and the serving protocol's `topology` field.
+//! The topology spec vocabulary. Spec strings (`mesh:3x3`,
+//! `rfs:2x4x8:4x2x1`, `dgx1`, ...) are shared by the CLI's `--topology`
+//! flag, scenario files' `sweep.topology` axis and the serving protocol's
+//! `topology` field; custom fabrics ([`CustomTopology`], a scenario
+//! file's `[[topologies]]`) and degraded ones ([`WithoutLinks`], the
+//! `without_links` axis) are built here too.
 
 use std::fmt;
 
-use crate::{Bandwidth, LinkSpec, RingOrientation, Time, Topology};
+use crate::{
+    Bandwidth, DimKind, LinkId, LinkSpec, NpuId, RingOrientation, Time, Topology, TopologyBuilder,
+};
 
 /// An α–β link in display units, as requests spell it: a value of a
 /// scenario's `link` axis, a `[[topologies.links]]` entry, the serving
@@ -62,6 +67,18 @@ impl fmt::Display for LinkAxis {
     }
 }
 
+/// The most NPUs, and the most links, one topology spec may describe:
+/// 2^25.
+///
+/// A spec arrives from a flag, a scenario file or a request line, so its
+/// counts are checked against this before anything is allocated:
+/// `fc:100000` would ask for ten billion links, and
+/// `mesh:4294967296x4294967297` wraps its NPU product. No collective over
+/// more NPUs can be built anyway (`tacos_collective::MAX_NPU_CHUNK_PAIRS`
+/// is this constant). The bound keeps a request from aborting the
+/// process; it is not a memory budget.
+pub const MAX_SPEC_ELEMENTS: u64 = 1 << 25;
+
 /// Parses a topology spec string (`mesh:3x3`, `ring:8`, `dgx1`, ...) into
 /// a [`Topology`] with homogeneous `link` costs.
 ///
@@ -78,45 +95,66 @@ impl fmt::Display for LinkAxis {
 ///   default `1.0`.
 ///
 /// Every topology keeps the `link` latency α on all tiers. For absolute
-/// per-tier bandwidths, describe the system as a `[[topologies]]` family
-/// entry instead.
+/// per-tier bandwidths, describe the system as a [`CustomTopology`]
+/// family entry instead.
 ///
 /// # Errors
-/// Returns a message for unknown families, malformed dimensions, or
-/// non-positive ratio values.
+/// Returns a message for unknown families, malformed dimensions,
+/// non-positive ratio values, or more NPUs or links than
+/// [`MAX_SPEC_ELEMENTS`].
 pub fn parse_topology(spec: &str, link: LinkSpec) -> Result<Topology, String> {
     let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
-    let dims = |s: &str| -> Result<Vec<usize>, String> {
-        s.split('x')
-            .map(|d| {
-                d.parse::<usize>()
-                    .map_err(|e| format!("bad dimension '{d}': {e}"))
-            })
-            .collect()
+    if let Some(family) = Tiered::named(kind) {
+        let (dims, suffix) = match rest.split_once(':') {
+            Some((dims, ratios)) => (dims, Some(ratios)),
+            None => (rest, None),
+        };
+        let dims = family.dims(dims, family.suffix)?;
+        let ratios = match suffix {
+            Some(s) => ratios(s)?,
+            None => family.ratios.to_vec(),
+        };
+        if ratios.len() != family.ratios.len() {
+            return Err(family.wrong_suffix.into());
+        }
+        // A suffix scales the trailing tiers; the leading ones run at the
+        // link's bandwidth.
+        let bw = link.bandwidth().as_gbps();
+        let mut gbps = vec![bw; dims.len() - ratios.len()];
+        gbps.extend(ratios.iter().map(|r| bw * r));
+        return family.build(spec, &dims, link.alpha(), &gbps);
+    }
+    let size = |what: &str| -> Result<usize, String> {
+        rest.parse().map_err(|e| format!("bad {what} size: {e}"))
     };
     let topo = match kind {
-        "ring" => Topology::ring(
-            rest.parse().map_err(|e| format!("bad ring size: {e}"))?,
-            link,
-            RingOrientation::Bidirectional,
-        ),
-        "ring-uni" => Topology::ring(
-            rest.parse().map_err(|e| format!("bad ring size: {e}"))?,
-            link,
-            RingOrientation::Unidirectional,
-        ),
+        "ring" => {
+            let n = size("ring")?;
+            check_size(spec, &[(Some(DimKind::Ring), n)], 0)?;
+            Topology::ring(n, link, RingOrientation::Bidirectional)
+        }
+        "ring-uni" => {
+            let n = size("ring")?;
+            // One link per NPU, as a degree-1 switch has.
+            check_size(spec, &[(Some(DimKind::Switch { degree: 1 }), n)], 0)?;
+            Topology::ring(n, link, RingOrientation::Unidirectional)
+        }
         "fc" => {
-            Topology::fully_connected(rest.parse().map_err(|e| format!("bad fc size: {e}"))?, link)
+            let n = size("fc")?;
+            check_size(spec, &[(Some(DimKind::FullyConnected), n)], 0)?;
+            Topology::fully_connected(n, link)
         }
         "mesh" => {
             let d = dims(rest)?;
             if d.len() != 2 {
                 return Err("mesh needs RxC".into());
             }
+            check_size(spec, &uniform(DimKind::Mesh, &d), 0)?;
             Topology::mesh_2d(d[0], d[1], link)
         }
         "torus" => {
             let d = dims(rest)?;
+            check_size(spec, &uniform(DimKind::Ring, &d), 0)?;
             match d.len() {
                 2 => Topology::torus_2d(d[0], d[1], link),
                 3 => Topology::torus_3d(d[0], d[1], d[2], link),
@@ -128,6 +166,7 @@ pub fn parse_topology(spec: &str, link: LinkSpec) -> Result<Topology, String> {
             if d.len() != 3 {
                 return Err("hypercube needs XxYxZ".into());
             }
+            check_size(spec, &uniform(DimKind::Mesh, &d), 0)?;
             Topology::hypercube_3d(d[0], d[1], d[2], link)
         }
         "switch" => {
@@ -136,85 +175,10 @@ pub fn parse_topology(spec: &str, link: LinkSpec) -> Result<Topology, String> {
                     n.parse().map_err(|e| format!("bad switch size: {e}"))?,
                     d.parse().map_err(|e| format!("bad degree: {e}"))?,
                 ),
-                None => (
-                    rest.parse().map_err(|e| format!("bad switch size: {e}"))?,
-                    1,
-                ),
+                None => (size("switch")?, 1),
             };
+            check_size(spec, &[(Some(DimKind::Switch { degree }), n)], 0)?;
             Topology::switch(n, link, degree)
-        }
-        "switch2d" => {
-            let (dim_str, ratio_str) = split_ratio_suffix(rest);
-            let d = dims(dim_str)?;
-            if d.len() != 2 {
-                return Err("switch2d needs RxC[:RATIO]".into());
-            }
-            let r = match ratio_str {
-                Some(s) => {
-                    let r = ratios(s)?;
-                    if r.len() != 1 {
-                        return Err("switch2d bandwidth suffix needs one ratio".into());
-                    }
-                    r[0]
-                }
-                None => 1.0,
-            };
-            Topology::switch_2d(
-                d[0],
-                d[1],
-                link.alpha(),
-                [link.bandwidth().as_gbps(), link.bandwidth().as_gbps() * r],
-            )
-        }
-        "rfs" => {
-            let (dim_str, ratio_str) = split_ratio_suffix(rest);
-            let d = dims(dim_str)?;
-            if d.len() != 3 {
-                return Err("rfs needs RxFxS[:R1xR2xR3]".into());
-            }
-            let r = match ratio_str {
-                Some(s) => {
-                    let r = ratios(s)?;
-                    if r.len() != 3 {
-                        return Err("rfs bandwidth suffix needs three ratios (R1xR2xR3)".into());
-                    }
-                    [r[0], r[1], r[2]]
-                }
-                None => [4.0, 2.0, 1.0],
-            };
-            Topology::rfs_3d(
-                d[0],
-                d[1],
-                d[2],
-                link.alpha(),
-                [
-                    link.bandwidth().as_gbps() * r[0],
-                    link.bandwidth().as_gbps() * r[1],
-                    link.bandwidth().as_gbps() * r[2],
-                ],
-            )
-        }
-        "dragonfly" => {
-            let (dim_str, ratio_str) = split_ratio_suffix(rest);
-            let d = dims(dim_str)?;
-            if d.len() != 2 {
-                return Err("dragonfly needs GROUPSxPER_GROUP[:RATIO]".into());
-            }
-            let r = match ratio_str {
-                Some(s) => {
-                    let r = ratios(s)?;
-                    if r.len() != 1 {
-                        return Err("dragonfly bandwidth suffix needs one global ratio".into());
-                    }
-                    r[0]
-                }
-                None => 0.5,
-            };
-            let global = LinkSpec::new(
-                link.alpha(),
-                Bandwidth::gbps(link.bandwidth().as_gbps() * r),
-            );
-            Topology::dragonfly(d[0], d[1], link, global)
         }
         "dgx1" => Topology::dgx1(link),
         other => return Err(format!("unknown topology kind '{other}'")),
@@ -222,13 +186,165 @@ pub fn parse_topology(spec: &str, link: LinkSpec) -> Result<Topology, String> {
     topo.map_err(|e| e.to_string())
 }
 
-/// Splits an optional `:`-separated bandwidth-ratio suffix off a
-/// heterogeneous topology's dimension string.
-fn split_ratio_suffix(rest: &str) -> (&str, Option<&str>) {
-    match rest.split_once(':') {
-        Some((dims, ratios)) => (dims, Some(ratios)),
-        None => (rest, None),
+/// A family with one link bandwidth per dimension (tier). Both spellings
+/// of such a fabric — a spec string under a link, with an optional ratio
+/// suffix, and a [`CustomTopologyBody::Family`] entry with absolute
+/// `tier_gbps` — parse its dimensions and build it here; they differ only
+/// in where the tier bandwidths come from.
+struct Tiered {
+    kind: &'static str,
+    /// The dimensions, as a malformed spec's error spells them.
+    shape: &'static str,
+    /// The ratio suffix, likewise.
+    suffix: &'static str,
+    /// Default multipliers of the link bandwidth for the trailing tiers a
+    /// suffix sets.
+    ratios: &'static [f64],
+    /// The error for a suffix with the wrong number of ratios.
+    wrong_suffix: &'static str,
+}
+
+const TIERED: [Tiered; 3] = [
+    Tiered {
+        kind: "rfs",
+        shape: "RxFxS",
+        suffix: "[:R1xR2xR3]",
+        ratios: &[4.0, 2.0, 1.0],
+        wrong_suffix: "rfs bandwidth suffix needs three ratios (R1xR2xR3)",
+    },
+    Tiered {
+        kind: "switch2d",
+        shape: "RxC",
+        suffix: "[:RATIO]",
+        ratios: &[1.0],
+        wrong_suffix: "switch2d bandwidth suffix needs one ratio",
+    },
+    Tiered {
+        kind: "dragonfly",
+        shape: "GROUPSxPER_GROUP",
+        suffix: "[:RATIO]",
+        ratios: &[0.5],
+        wrong_suffix: "dragonfly bandwidth suffix needs one global ratio",
+    },
+];
+
+impl Tiered {
+    fn named(kind: &str) -> Option<&'static Tiered> {
+        TIERED.iter().find(|f| f.kind == kind)
     }
+
+    /// The number of tiers: one per dimension.
+    fn tiers(&self) -> usize {
+        self.shape.split('x').count()
+    }
+
+    /// Parses the dimensions and checks their count; `suffix` completes
+    /// the usage an error shows.
+    fn dims(&self, s: &str, suffix: &str) -> Result<Vec<usize>, String> {
+        let d = dims(s)?;
+        if d.len() != self.tiers() {
+            return Err(format!("{} needs {}{suffix}", self.kind, self.shape));
+        }
+        Ok(d)
+    }
+
+    /// Builds the family over dimensions `d` with latency `alpha` and one
+    /// bandwidth (GB/s) per tier.
+    fn build(
+        &self,
+        spec: &str,
+        d: &[usize],
+        alpha: Time,
+        gbps: &[f64],
+    ) -> Result<Topology, String> {
+        let switch = Some(DimKind::Switch { degree: 1 });
+        let topo = match self.kind {
+            "rfs" => {
+                let ring = Some(DimKind::Ring);
+                let fc = Some(DimKind::FullyConnected);
+                check_size(spec, &[(ring, d[0]), (fc, d[1]), (switch, d[2])], 0)?;
+                Topology::rfs_3d(d[0], d[1], d[2], alpha, [gbps[0], gbps[1], gbps[2]])
+            }
+            "switch2d" => {
+                check_size(spec, &[(switch, d[0]), (switch, d[1])], 0)?;
+                Topology::switch_2d(d[0], d[1], alpha, [gbps[0], gbps[1]])
+            }
+            _ => {
+                // Groups of fully connected members, plus one bidirectional
+                // link per group pair.
+                let groups = d[0] as u64;
+                let global = groups.saturating_mul(groups.saturating_sub(1));
+                check_size(
+                    spec,
+                    &[(None, d[0]), (Some(DimKind::FullyConnected), d[1])],
+                    global,
+                )?;
+                let tier = |g: f64| LinkSpec::new(alpha, Bandwidth::gbps(g));
+                Topology::dragonfly(d[0], d[1], tier(gbps[0]), tier(gbps[1]))
+            }
+        };
+        topo.map_err(|e| e.to_string())
+    }
+}
+
+/// Refuses a fabric whose NPU or link count exceeds
+/// [`MAX_SPEC_ELEMENTS`], before anything is allocated. `sides` lists its
+/// dimensions; one with a [`DimKind`] wires each group of NPUs along it
+/// the way [`crate::multi_dim`] does, and `extra` counts the links no
+/// side accounts for.
+fn check_size(spec: &str, sides: &[(Option<DimKind>, usize)], extra: u64) -> Result<(), String> {
+    let npus = sides
+        .iter()
+        .try_fold(1u64, |n, &(_, k)| n.checked_mul(k as u64));
+    within_limit(spec, "NPUs", npus)?;
+    let n = npus.unwrap_or(0);
+    if n == 0 {
+        return Ok(()); // the constructor rejects the empty side
+    }
+    // With at most 2^25 NPUs and no empty side, every side is at most
+    // 2^25 too, so no term below can overflow.
+    let links = sides
+        .iter()
+        .filter_map(|&(kind, k)| {
+            let k = k as u64;
+            let per_group = match kind? {
+                DimKind::Ring if k == 2 => 2,
+                DimKind::Ring => 2 * k,
+                DimKind::FullyConnected => k * (k - 1),
+                DimKind::Switch { degree } => k * u64::from(degree),
+                DimKind::Mesh => 2 * (k - 1),
+            };
+            Some(n / k * per_group)
+        })
+        .sum::<u64>();
+    within_limit(spec, "links", Some(links.saturating_add(extra)))
+}
+
+/// The sides of a fabric whose every dimension is wired as `kind`.
+fn uniform(kind: DimKind, d: &[usize]) -> Vec<(Option<DimKind>, usize)> {
+    d.iter().map(|&k| (Some(kind), k)).collect()
+}
+
+/// Refuses a count (`None` when it overflowed) above
+/// [`MAX_SPEC_ELEMENTS`].
+fn within_limit(spec: &str, what: &str, count: Option<u64>) -> Result<(), String> {
+    match count {
+        Some(n) if n <= MAX_SPEC_ELEMENTS => Ok(()),
+        _ => Err(format!(
+            "topology '{spec}' has {} {what}, over the limit of {MAX_SPEC_ELEMENTS}",
+            count.map_or_else(|| "more than 2^64".to_string(), |n| n.to_string())
+        )),
+    }
+}
+
+/// Parses an `x`-separated dimension list.
+fn dims(s: &str) -> Result<Vec<usize>, String> {
+    s.split('x')
+        .map(|d| {
+            d.parse::<usize>()
+                .map_err(|e| format!("bad dimension '{d}': {e}"))
+        })
+        .collect()
 }
 
 /// Parses an `x`-separated list of positive bandwidth ratios.
@@ -244,6 +360,239 @@ fn ratios(s: &str) -> Result<Vec<f64>, String> {
             Ok(v)
         })
         .collect()
+}
+
+/// One value of the `without_links` failure-injection axis: how many (or
+/// exactly which) links to kill before running the point.
+///
+/// In a scenario file an **integer** is a victim *count* — that many
+/// links are selected seed-deterministically (see
+/// [`select_failed_links`]) — while a **string** of `+`-separated link
+/// ids (`"13"`, `"13+27"`) names the victims explicitly. `0` (the
+/// default) runs the healthy topology.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WithoutLinks {
+    /// Kill this many links, chosen seed-deterministically among
+    /// selections that keep the topology strongly connected.
+    Count(usize),
+    /// Kill exactly these link ids (of the healthy topology).
+    Links(Vec<u32>),
+}
+
+impl WithoutLinks {
+    /// Whether this value leaves the topology untouched.
+    pub fn is_healthy(&self) -> bool {
+        matches!(self, WithoutLinks::Count(0))
+    }
+
+    /// The axis label used in CSV rows, point labels, and `[[exclude]]` /
+    /// `group_by` matching: the count, or the `+`-joined id list.
+    pub fn label(&self) -> String {
+        match self {
+            WithoutLinks::Count(n) => n.to_string(),
+            WithoutLinks::Links(ids) => {
+                ids.iter().map(u32::to_string).collect::<Vec<_>>().join("+")
+            }
+        }
+    }
+}
+
+impl fmt::Display for WithoutLinks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.label())
+    }
+}
+
+/// Resolves a `without_links` axis value into the victim link ids for
+/// `topo`.
+///
+/// Explicit lists are returned as-is (range/connectivity validation
+/// happens in [`Topology::without_links`]). Counts are resolved
+/// deterministically from `seed`: victims are drawn one at a time from a
+/// seed-keyed xorshift stream, and a candidate that would disconnect the
+/// surviving fabric is skipped in favor of the next id in rotation, so a
+/// fixed `(topology, seed, count)` always yields the same victim set.
+///
+/// # Errors
+/// Returns a message if a count is out of range or no connected
+/// selection exists at some step.
+pub fn select_failed_links(
+    topo: &Topology,
+    axis: &WithoutLinks,
+    seed: u64,
+) -> Result<Vec<LinkId>, String> {
+    let count = match axis {
+        WithoutLinks::Links(ids) => {
+            return Ok(ids.iter().map(|&id| LinkId::new(id)).collect());
+        }
+        WithoutLinks::Count(n) => *n,
+    };
+    if count >= topo.num_links() {
+        return Err(format!(
+            "cannot remove {count} of {} links",
+            topo.num_links()
+        ));
+    }
+    // Seed-keyed xorshift stream; `| 1` keeps the state nonzero.
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut victims: Vec<LinkId> = Vec::with_capacity(count);
+    while victims.len() < count {
+        // Candidate ids of the *healthy* topology not yet removed, in a
+        // stable order; probe from a pseudo-random rotation point.
+        let alive: Vec<LinkId> = (0..topo.num_links() as u32)
+            .map(LinkId::new)
+            .filter(|id| !victims.contains(id))
+            .collect();
+        let offset = (next() % alive.len() as u64) as usize;
+        let chosen = (0..alive.len())
+            .map(|i| alive[(offset + i) % alive.len()])
+            .find(|&candidate| {
+                let mut attempt = victims.clone();
+                attempt.push(candidate);
+                topo.without_links(&attempt).is_ok()
+            });
+        match chosen {
+            Some(candidate) => victims.push(candidate),
+            None => {
+                return Err(format!(
+                    "no selection of {count} links keeps '{}' strongly connected \
+                     (stuck after {})",
+                    topo.name(),
+                    victims.len()
+                ));
+            }
+        }
+    }
+    Ok(victims)
+}
+
+/// One directed (or bidirectional) link of a builder-described topology.
+#[derive(Debug, Clone, Copy)]
+pub struct CustomLink {
+    /// Source NPU index.
+    pub src: u32,
+    /// Destination NPU index.
+    pub dst: u32,
+    /// Link cost parameters.
+    pub link: LinkAxis,
+    /// Whether to add the reverse direction too.
+    pub bidi: bool,
+}
+
+/// A heterogeneous network described in a scenario file's
+/// `[[topologies]]` table, referenced from `sweep.topology` as
+/// `custom:<name>`.
+#[derive(Debug, Clone)]
+pub struct CustomTopology {
+    /// Name referenced from `sweep.topology` as `custom:<name>`.
+    pub name: String,
+    /// How the network is described.
+    pub body: CustomTopologyBody,
+}
+
+/// The two `[[topologies]]` description forms.
+#[derive(Debug, Clone)]
+pub enum CustomTopologyBody {
+    /// Link-by-link builder form: `npus` plus `[[topologies.links]]`
+    /// entries (arbitrary structure, per-link specs — e.g. mixed
+    /// mesh/switch fabrics).
+    Links {
+        /// Number of NPUs.
+        npus: usize,
+        /// The links.
+        links: Vec<CustomLink>,
+    },
+    /// Family form: a canonical constructor spec (`base`) with explicit
+    /// per-tier bandwidth overrides, so heterogeneous systems with
+    /// absolute tier bandwidths (paper §VI-B.1) can be enumerated as
+    /// axis values without going through the shared `link` axis.
+    Family {
+        /// A [`parse_topology`] constructor spec without a ratio suffix
+        /// (`dragonfly:5x4`, `switch2d:8x4`, `rfs:2x4x8`, `mesh:3x3`).
+        base: String,
+        /// Link latency α in microseconds, applied to every tier.
+        alpha_us: f64,
+        /// Per-tier bandwidths in GB/s, outermost-listed-first in the
+        /// base family's dimension order; homogeneous families take a
+        /// single entry.
+        tier_gbps: Vec<f64>,
+    },
+}
+
+impl CustomTopology {
+    /// Builds the [`Topology`].
+    ///
+    /// # Errors
+    /// Returns a message if an endpoint is out of range, the tier count
+    /// does not match the base family, the NPU or link count exceeds
+    /// [`MAX_SPEC_ELEMENTS`], or the built network is rejected.
+    pub fn build(&self) -> Result<Topology, String> {
+        match &self.body {
+            CustomTopologyBody::Links { npus, links } => {
+                let spec = format!("custom:{}", self.name);
+                within_limit(&spec, "NPUs", Some(*npus as u64))?;
+                let count = links.iter().map(|l| 1 + u64::from(l.bidi)).sum();
+                within_limit(&spec, "links", Some(count))?;
+                let mut b = TopologyBuilder::new(spec);
+                b.npus(*npus);
+                for l in links {
+                    if l.src as usize >= *npus || l.dst as usize >= *npus {
+                        return Err(format!(
+                            "link {} -> {} out of range for {npus} NPUs",
+                            l.src, l.dst
+                        ));
+                    }
+                    if l.bidi {
+                        b.bidi_link(NpuId::new(l.src), NpuId::new(l.dst), l.link.to_spec());
+                    } else {
+                        b.link(NpuId::new(l.src), NpuId::new(l.dst), l.link.to_spec());
+                    }
+                }
+                b.build().map_err(|e| e.to_string())
+            }
+            CustomTopologyBody::Family {
+                base,
+                alpha_us,
+                tier_gbps,
+            } => {
+                let alpha = Time::from_micros(*alpha_us);
+                let (kind, rest) = base.split_once(':').unwrap_or((base, ""));
+                if rest.contains(':') {
+                    return Err(format!(
+                        "base '{base}' must not carry a ratio suffix; tier bandwidths \
+                         come from tier_gbps"
+                    ));
+                }
+                let want_tiers = |n: usize| -> Result<(), String> {
+                    if tier_gbps.len() != n {
+                        return Err(format!(
+                            "'{kind}' has {n} tier(s), but tier_gbps lists {}",
+                            tier_gbps.len()
+                        ));
+                    }
+                    Ok(())
+                };
+                match Tiered::named(kind) {
+                    Some(family) => {
+                        let d = family.dims(rest, "")?;
+                        want_tiers(family.tiers())?;
+                        family.build(base, &d, alpha, tier_gbps)
+                    }
+                    // Every single-tier family goes through the spec string.
+                    None => {
+                        want_tiers(1)?;
+                        parse_topology(base, LinkSpec::new(alpha, Bandwidth::gbps(tier_gbps[0])))
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -338,5 +687,54 @@ mod tests {
         assert_eq!(parse_topology("switch2d:8x4", link).unwrap().num_npus(), 32);
         assert!(parse_topology("switch2d:8", link).is_err());
         assert!(parse_topology("switch2d:8x4:1x2", link).is_err());
+    }
+
+    #[test]
+    fn oversized_specs_are_refused_before_allocation() {
+        let link = paper_link();
+        let limit = "over the limit of 33554432";
+        for (spec, count) in [
+            ("fc:100000", "9999900000 links"),
+            ("mesh:4294967296x4294967297", "more than 2^64 NPUs"),
+            ("switch:100000:d99999", "9999900000 links"),
+            ("ring:20000000", "40000000 links"),
+            ("ring-uni:40000000", "40000000 NPUs"),
+            ("mesh:5000x5000", "99980000 links"),
+            ("torus:400x400x400", "64000000 NPUs"),
+            ("rfs:2x64x4096", "34078720 links"),
+            ("switch2d:8192x8192:0.5", "67108864 NPUs"),
+            ("dragonfly:5000x5000", "124999995000 links"),
+        ] {
+            let err = parse_topology(spec, link).unwrap_err();
+            assert_eq!(err, format!("topology '{spec}' has {count}, {limit}"));
+        }
+        // The family form counts the same way, and the link-by-link form
+        // by its declared NPUs and links.
+        let custom = |body| CustomTopology {
+            name: "big".into(),
+            body,
+        };
+        let family = custom(CustomTopologyBody::Family {
+            base: "fc:100000".into(),
+            alpha_us: 0.5,
+            tier_gbps: vec![50.0],
+        });
+        assert!(family.build().unwrap_err().contains("9999900000 links"));
+        let links = custom(CustomTopologyBody::Links {
+            npus: 1 << 40,
+            links: Vec::new(),
+        });
+        assert_eq!(
+            links.build().unwrap_err(),
+            format!("topology 'custom:big' has 1099511627776 NPUs, {limit}")
+        );
+    }
+
+    #[test]
+    fn tiered_sides_below_two_are_errors_not_panics() {
+        for spec in ["rfs:1x4x8", "rfs:2x4x1", "switch2d:1x4", "switch2d:4x0:0.5"] {
+            let err = parse_topology(spec, paper_link()).unwrap_err();
+            assert!(err.contains("requires every side >= 2"), "{spec}: {err}");
+        }
     }
 }

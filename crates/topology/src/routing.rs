@@ -59,8 +59,6 @@ pub struct RoutingTable {
     num_npus: usize,
     /// `next[dst][cur]` = link leaving `cur` toward `dst` (`u32::MAX` = none).
     next: Vec<Vec<u32>>,
-    /// `cost[dst][cur]` = total path cost from `cur` to `dst`.
-    cost: Vec<Vec<Time>>,
 }
 
 impl RoutingTable {
@@ -68,11 +66,12 @@ impl RoutingTable {
     pub fn new(topo: &Topology, size: ByteSize) -> Self {
         let n = topo.num_npus();
         let mut next = vec![vec![u32::MAX; n]; n];
-        let mut cost = vec![vec![Time::MAX; n]; n];
+        // `cost_row[cur]` = total path cost from `cur` to the current `dst`.
+        let mut cost_row = vec![Time::MAX; n];
         // Reverse Dijkstra from every destination, relaxing over in-links.
         for dst in topo.npus() {
             let next_row = &mut next[dst.index()];
-            let cost_row = &mut cost[dst.index()];
+            cost_row.fill(Time::MAX);
             cost_row[dst.index()] = Time::ZERO;
             let mut heap = BinaryHeap::new();
             heap.push(Reverse((Time::ZERO, dst)));
@@ -96,11 +95,7 @@ impl RoutingTable {
                 }
             }
         }
-        RoutingTable {
-            num_npus: n,
-            next,
-            cost,
-        }
+        RoutingTable { num_npus: n, next }
     }
 
     /// The next link to take from `cur` toward `dst`, or `None` if `dst` is
@@ -108,12 +103,6 @@ impl RoutingTable {
     pub fn next_hop(&self, cur: NpuId, dst: NpuId) -> Option<LinkId> {
         let raw = self.next[dst.index()][cur.index()];
         (raw != u32::MAX && cur != dst).then(|| LinkId::new(raw))
-    }
-
-    /// Total shortest-path cost from `src` to `dst` ([`Time::MAX`] if
-    /// unreachable).
-    pub fn path_cost(&self, src: NpuId, dst: NpuId) -> Time {
-        self.cost[dst.index()][src.index()]
     }
 
     /// Number of NPUs this table was built for.
@@ -233,7 +222,11 @@ mod tests {
         for src in t.npus() {
             let d = shortest_path_times(&t, src, ByteSize::kb(1));
             for dst in t.npus() {
-                assert_eq!(table.path_cost(src, dst), d[dst.index()]);
+                let route = route_path(&t, &table, src, dst).unwrap();
+                let cost = route
+                    .iter()
+                    .fold(Time::ZERO, |c, &l| c + t.link(l).cost(ByteSize::kb(1)));
+                assert_eq!(cost, d[dst.index()]);
             }
         }
     }

@@ -98,11 +98,6 @@ impl Time {
         self.0 as f64 / 1e6
     }
 
-    /// This time expressed in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Returns `true` iff this is `Time::ZERO`.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
@@ -325,11 +320,6 @@ impl ByteSize {
     /// Raw byte count.
     pub const fn as_u64(self) -> u64 {
         self.0
-    }
-
-    /// Size in fractional decimal gigabytes.
-    pub fn as_gb_f64(self) -> f64 {
-        self.0 as f64 / 1e9
     }
 
     /// Integer division of the size into `parts` equal pieces (truncating).
