@@ -19,11 +19,10 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use tacos_collective::export;
-use tacos_core::{SynthesisScratch, SynthesizerConfig};
+use tacos_core::SynthesisScratch;
 use tacos_report::{fmt_f64, Json, Table};
-use tacos_scenario::{parse_pattern, parse_size, parse_topology};
-use tacos_topology::LinkAxis;
-use tacos_workload::{bandwidth_gbps, Evaluator, Mechanism};
+use tacos_topology::parse_size;
+use tacos_workload::{bandwidth_gbps, Evaluator, Point};
 
 /// How a command ends other than in success: usage mistakes get the
 /// USAGE block appended; runtime failures (a bad scenario file, failed
@@ -648,44 +647,39 @@ fn scenario_diff(args: &[String]) -> Result<(), CliError> {
     }
 }
 
+/// The request the single-point flags describe, under the CLI's own
+/// defaults (`mesh:3x3`, seed 42, one attempt).
+fn point(p: &Args) -> Result<Point, String> {
+    let mut point = Point {
+        topology: "mesh:3x3".into(),
+        seed: Some(42),
+        attempts: Some(1),
+        ..Point::default()
+    };
+    p.set("--topology", &mut point.topology)?;
+    p.set("--collective", &mut point.collective)?;
+    p.set("--size", &mut point.size)?;
+    p.set("--algo", &mut point.mechanism)?;
+    p.set("--alpha", &mut point.link.alpha_us)?;
+    p.set("--bw", &mut point.link.bandwidth_gbps)?;
+    point.seed = p.value("--seed", str::parse)?.or(point.seed);
+    point.attempts = p.value("--attempts", str::parse)?.or(point.attempts);
+    p.set("--chunks", &mut point.chunks)?;
+    Ok(point)
+}
+
 fn run_single_point(args: &[String]) -> Result<(), CliError> {
     let p = Args::parse(args, "argument", POINT, 0)?;
-    let topology_spec = p.text("--topology").unwrap_or_else(|| "mesh:3x3".into());
-    let pattern = p
-        .text("--collective")
-        .unwrap_or_else(|| "all-reduce".into());
-    let size = p.text("--size").unwrap_or_else(|| "64MB".into());
-    let algo = p.text("--algo").unwrap_or_else(|| "tacos".into());
-    let mut link = LinkAxis::default_paper();
-    p.set("--alpha", &mut link.alpha_us)?;
-    p.set("--bw", &mut link.bandwidth_gbps)?;
-    let seed = p.value("--seed", str::parse)?.unwrap_or(42u64);
-    let attempts = p.value("--attempts", str::parse)?.unwrap_or(1usize);
-    let chunks = p.value("--chunks", str::parse)?.unwrap_or(1usize);
+    let point = point(&p)?;
     let simulate = p.has("--simulate");
     let json = p.has("--json");
     let export_json = p.text("--export-json");
     let export_xml = p.text("--export-xml");
-
-    link.check().map_err(|e| format!("link {link}: {e}"))?;
-    // The daemon's wording for the same request fields.
-    if chunks == 0 {
-        return Err(CliError::Usage("'chunks' must be >= 1".into()));
-    }
-    if attempts == 0 {
-        return Err(CliError::Usage("'attempts' must be >= 1".into()));
-    }
-    let topo = parse_topology(&topology_spec, link.to_spec())?;
-    let size = parse_size(&size)?;
-    let pattern = parse_pattern(&pattern, topo.num_npus())?;
-    let config = SynthesizerConfig::default()
-        .with_seed(seed)
-        .with_attempts(attempts);
-    let mechanism = Mechanism::parse(&algo, &config)?;
+    let (topo, pattern, size, mechanism) = point.resolve()?;
 
     let evaluator = Evaluator::new(&topo, &mechanism).with_simulation(simulate);
     let evaluated = evaluator
-        .evaluate(pattern, size, chunks, &mut SynthesisScratch::new())
+        .evaluate(pattern, size, point.chunks, &mut SynthesisScratch::new())
         .map_err(|e| e.cause())?;
     let collective_time = evaluated.time;
     let bandwidth_gbps = bandwidth_gbps(size, collective_time);
@@ -699,6 +693,7 @@ fn run_single_point(args: &[String]) -> Result<(), CliError> {
         (&export_json, "algorithm JSON", export::to_json),
         (&export_xml, "MSCCL-style XML", export::to_msccl_xml),
     ];
+    let algo = &point.mechanism;
     for (path, what, encode) in exports {
         let Some(path) = path else { continue };
         let algorithm = evaluated
@@ -1052,6 +1047,54 @@ cache = false
                     }
                 }
             }
+        }
+    }
+
+    /// The CLI and the daemon read one request the same way: a flag set
+    /// and the request line that spells it, with the CLI's defaults
+    /// written out, give one `Point` and resolve to one fabric, pattern,
+    /// size and mechanism.
+    #[test]
+    fn flags_and_request_lines_read_the_same_point() {
+        const DEFAULTS: &str = r#""topology":"mesh:3x3","seed":42,"attempts":1"#;
+        for (flags, fields) in [
+            (&[][..], DEFAULTS.to_string()),
+            (
+                &[
+                    "--topology",
+                    "torus:2x2x2",
+                    "--collective",
+                    "all-gather",
+                    "--size",
+                    "1MB",
+                    "--chunks",
+                    "2",
+                ][..],
+                r#""topology":"torus:2x2x2","collective":"all-gather","size":"1MB","chunks":2,"seed":42,"attempts":1"#
+                    .to_string(),
+            ),
+            (
+                &["--algo", "tacos:attempts=2", "--seed", "7"][..],
+                r#""topology":"mesh:3x3","mechanism":"tacos:attempts=2","seed":7,"attempts":1"#
+                    .to_string(),
+            ),
+            (
+                &["--algo", "taccl", "--seed", "3"][..],
+                r#""topology":"mesh:3x3","mechanism":"taccl","seed":3,"attempts":1"#.to_string(),
+            ),
+            (
+                &["--algo", "ideal", "--alpha", "1", "--bw", "25"][..],
+                format!(r#""mechanism":"ideal","alpha_us":1,"link_gbps":25,{DEFAULTS}"#),
+            ),
+        ] {
+            let args: Vec<String> = flags.iter().map(|a| a.to_string()).collect();
+            let from_flags = point(&Args::parse(&args, "argument", POINT, 0).unwrap()).unwrap();
+            let line = format!("{{{fields}}}");
+            let from_line = tacos_serve::Request::parse(&line).unwrap().point;
+            assert_eq!(from_flags, from_line, "{flags:?} vs {line}");
+            let (a, b) = (from_flags.resolve().unwrap(), from_line.resolve().unwrap());
+            assert_eq!(a.0.name(), b.0.name(), "{line}");
+            assert_eq!((a.1, a.2, &a.3), (b.1, b.2, &b.3), "{line}");
         }
     }
 }

@@ -130,6 +130,16 @@ fn values_the_daemon_and_the_scenario_loader_reject_are_usage_errors() {
             "4611686018427387905",
             "chunks a collective can number",
         ),
+        // α + payload/β past 2^64 ps wraps to a small time where overflow
+        // checks are off, and inf B/s panics in the unit types.
+        ("--alpha", "1e300", "alpha must be under 2^64 ps"),
+        (
+            "--bw",
+            "1e300",
+            "bandwidth must be finite in bytes per second",
+        ),
+        ("--bw", "1e-300", "past the 2^64 ps clock"),
+        ("--size", "18446744073709551615B", "past the 2^64 ps clock"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_tacos"))
             .args(["--topology", "ring:4", flag, value, "--json"])
@@ -173,30 +183,37 @@ fn chunks_over_the_pair_limit_are_a_usage_error() {
 /// A spec string that describes an absurd fabric is one usage error, not
 /// an aborted allocation. The address-space cap makes a regression fail
 /// fast instead of exhausting the machine: without the size bound
-/// `fc:100000` asks for a 1.6 GB link table.
+/// `fc:100000` asks for a 1.6 GB link table, and a ring over links whose
+/// cost wraps past 2^64 ps grows its routing table until it aborts.
 #[cfg(unix)]
 #[test]
 fn an_oversized_topology_is_one_error_line_under_a_memory_cap() {
-    for spec in [
-        "fc:100000",
-        "mesh:4294967296x4294967297",
-        "switch:100000:d99999",
+    let oversized = "over the limit of 33554432";
+    for (args, want) in [
+        ("--topology fc:100000 --algo ideal", oversized),
+        (
+            "--topology mesh:4294967296x4294967297 --algo ideal",
+            oversized,
+        ),
+        ("--topology switch:100000:d99999 --algo ideal", oversized),
+        (
+            "--algo ring --alpha 1e300 --size 18446744073709551615B",
+            "alpha must be under 2^64 ps",
+        ),
     ] {
         let out = Command::new("sh")
             .arg("-c")
-            .arg("ulimit -v 1500000; exec \"$0\" --topology \"$1\" --algo ideal --json")
+            // `$1` unquoted: the shell splits the row into its flags.
+            .arg("ulimit -v 1500000; exec \"$0\" $1 --json")
             .arg(env!("CARGO_BIN_EXE_tacos"))
-            .arg(spec)
+            .arg(args)
             .output()
             .expect("sh runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{spec}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args}: {stderr}");
         let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
-        assert_eq!(errors.len(), 1, "{spec}: {stderr}");
-        assert!(
-            errors[0].ends_with("over the limit of 33554432"),
-            "{spec}: {stderr}"
-        );
+        assert_eq!(errors.len(), 1, "{args}: {stderr}");
+        assert!(errors[0].ends_with(want), "{args}: {stderr}");
     }
 }

@@ -18,6 +18,10 @@
 //!   time only in `tacos-workload`'s `evaluate` module; a front-end crate
 //!   (`cli`, `scenario`, `serve`) constructing a baseline generator or a
 //!   simulator is a private copy of that pipeline regrowing.
+//! * **One request point** — the one-shot CLI and the daemon check and
+//!   resolve a request only through `tacos_workload::Point::resolve`;
+//!   parsing a fabric, a pattern or a mechanism there, or composing a
+//!   synthesizer configuration, is a second copy of that step.
 //! * **No sleeping polls** — between a client's `connect` and its answer
 //!   the daemon never sleeps: every wait in `crates/serve/src/daemon.rs`
 //!   is a blocking wait with a named waker. `thread::sleep`, `try_recv`
@@ -182,15 +186,31 @@ pub fn analyze_rename(f: &SourceFile) -> Vec<Finding> {
     out
 }
 
-/// Constructors the front-end crates' production source must not call,
-/// each with the one place that owns what it builds.
-const OWNED_CONSTRUCTORS: [(&str, &str, &str); 6] = [
-    ("BaselineAlgorithm", "new", PIPELINE),
-    ("Simulator", "new", PIPELINE),
-    ("Topology", "rfs_3d", FABRICS),
-    ("Topology", "switch_2d", FABRICS),
-    ("Topology", "dragonfly", FABRICS),
-    ("TopologyBuilder", "new", FABRICS),
+/// The front-end crates.
+const FRONT_ENDS: &[&str] = &[
+    "crates/cli/src/",
+    "crates/scenario/src/",
+    "crates/serve/src/",
+];
+
+/// The front ends that answer one request at a time.
+const SINGLE_POINT: &[&str] = &["crates/cli/src/", "crates/serve/src/"];
+
+/// Calls the front-end crates' production source must not make: each row
+/// is a type (empty for a bare function, called plain or through a path),
+/// a function, the crates whose source it covers, and the one place that
+/// owns what the call builds.
+const OWNED_CONSTRUCTORS: [(&str, &str, &[&str], &str); 10] = [
+    ("BaselineAlgorithm", "new", FRONT_ENDS, PIPELINE),
+    ("Simulator", "new", FRONT_ENDS, PIPELINE),
+    ("Topology", "rfs_3d", FRONT_ENDS, FABRICS),
+    ("Topology", "switch_2d", FRONT_ENDS, FABRICS),
+    ("Topology", "dragonfly", FRONT_ENDS, FABRICS),
+    ("TopologyBuilder", "new", FRONT_ENDS, FABRICS),
+    ("Mechanism", "parse", SINGLE_POINT, POINT),
+    ("SynthesizerConfig", "default", SINGLE_POINT, POINT),
+    ("", "parse_topology", SINGLE_POINT, POINT),
+    ("", "parse_pattern", SINGLE_POINT, POINT),
 ];
 
 const PIPELINE: &str = "mechanisms are generated and timed only by tacos-workload's \
@@ -201,32 +221,38 @@ const FABRICS: &str = "fabrics are built only by tacos-topology's spec vocabular
      (parse_topology / CustomTopology::build); extend that instead of growing a private \
      parser";
 
+const POINT: &str = "a single request is checked and resolved only by tacos-workload's \
+     Point::resolve; fill a Point and call that instead of growing a private copy";
+
 /// Flags a call of an `OWNED_CONSTRUCTORS` entry (`Simulator::new(`,
-/// `Topology::rfs_3d(`, ...) in the front-end crates' production source
-/// (test code may build references freely).
+/// `Topology::rfs_3d(`, `parse_topology(`, ...) in the production source
+/// of the crates its row covers (test code may build references freely).
 pub fn analyze_pipeline_copies(f: &SourceFile) -> Vec<Finding> {
-    const FRONT_ENDS: [&str; 3] = [
-        "crates/cli/src/",
-        "crates/scenario/src/",
-        "crates/serve/src/",
-    ];
     let mut out = Vec::new();
-    if !FRONT_ENDS.iter().any(|p| f.rel.starts_with(p)) {
-        return out;
-    }
-    for w in f.toks.windows(5) {
-        let text = |i: usize| w[i].text.as_str();
-        let owned = OWNED_CONSTRUCTORS
-            .iter()
-            .find(|&&(ty, func, _)| [text(0), text(1), text(2), text(3)] == [ty, ":", ":", func]);
-        if let Some(&(ty, func, owner)) = owned {
-            if text(4) == "(" && !f.in_test_code(w[0].line) {
+    let text = |i: usize| f.toks.get(i).map_or("", |t| t.text.as_str());
+    for (i, tok) in f.toks.iter().enumerate() {
+        if tok.kind != TokKind::Ident || text(i + 1) != "(" {
+            continue;
+        }
+        let owned = OWNED_CONSTRUCTORS.iter().find(|&&(ty, func, paths, _)| {
+            let named = match ty {
+                "" => i == 0 || text(i - 1) != "fn",
+                ty => i >= 3 && [text(i - 3), text(i - 2), text(i - 1)] == [ty, ":", ":"],
+            };
+            tok.text == func && named && paths.iter().any(|p| f.rel.starts_with(p))
+        });
+        if let Some(&(ty, func, _, owner)) = owned {
+            if !f.in_test_code(tok.line) {
+                let call = match ty {
+                    "" => func.to_string(),
+                    ty => format!("{ty}::{func}"),
+                };
                 out.push(Finding {
                     rule: Rule::Design,
                     file: f.rel.clone(),
-                    line: w[0].line,
-                    token: format!("{ty}::{func}"),
-                    message: format!("`{ty}::{func}(` in a front-end crate — {owner}"),
+                    line: tok.line,
+                    message: format!("`{call}(` in a front-end crate — {owner}"),
+                    token: call,
                 });
             }
         }
@@ -407,6 +433,17 @@ mod tests {
         // construct both.
         let owner = SourceFile::parse("crates/workload/src/evaluate.rs".into(), src.into());
         assert!(analyze_pipeline_copies(&owner).is_empty());
+        // A bare-function row covers its own crates only, called plain or
+        // through a path, and not its definition.
+        let resolve = "fn parse_topology(s: &str) {}\n\
+                       fn run() {\n  tacos_scenario::parse_topology(s, l);\n  parse_pattern(p, n);\n}\n";
+        let daemon = SourceFile::parse("crates/serve/src/daemon.rs".into(), resolve.into());
+        let f = analyze_pipeline_copies(&daemon);
+        let found: Vec<_> = f.iter().map(|f| (f.line, f.token.as_str())).collect();
+        assert_eq!(found, [(3, "parse_topology"), (4, "parse_pattern")]);
+        assert!(f[0].message.contains("Point::resolve"), "{f:?}");
+        let runner = SourceFile::parse("crates/scenario/src/runner.rs".into(), resolve.into());
+        assert!(analyze_pipeline_copies(&runner).is_empty());
     }
 
     #[test]

@@ -106,6 +106,13 @@ fn broken_tree_fails_every_rule_with_location() {
         "fabric"
     );
 
+    // Design: a single-request front end building a request's fabric
+    // instead of resolving a `Point`.
+    assert!(
+        has(Rule::Design, "crates/serve/src/point.rs", 5),
+        "request point"
+    );
+
     // Design: a scenario consumer spelling an axis name instead of
     // reading the axis table.
     assert!(

@@ -1335,19 +1335,27 @@ seed = [7, 7, 3]
     #[test]
     fn non_finite_link_values_are_rejected() {
         // 1e999 overflows f64 to infinity; it must be a readable spec
-        // error, not a panic inside the unit types at run time.
-        let err = ScenarioSpec::from_toml_str(
-            "[scenario]\nname = \"t\"\n[sweep]\ntopology = [\"ring:4\"]\n\
-             link = [{ alpha_us = 0.5, bandwidth_gbps = 1e999 }]\n",
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("must be finite"), "got: {err}");
-        let err = ScenarioSpec::from_toml_str(
-            "[scenario]\nname = \"t\"\n[sweep]\ntopology = [\"ring:4\"]\n\
-             link = [{ alpha_us = 1e999, bandwidth_gbps = 50.0 }]\n",
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("must be finite"), "got: {err}");
+        // error, not a panic inside the unit types at run time. So must a
+        // finite value past the picosecond clock or the f64 byte rate.
+        for (link, needle) in [
+            ("alpha_us = 0.5, bandwidth_gbps = 1e999", "must be finite"),
+            ("alpha_us = 1e999, bandwidth_gbps = 50.0", "must be finite"),
+            (
+                "alpha_us = 1e300, bandwidth_gbps = 50.0",
+                "alpha must be under 2^64 ps",
+            ),
+            (
+                "alpha_us = 0.5, bandwidth_gbps = 1e300",
+                "bandwidth must be finite in bytes per second",
+            ),
+        ] {
+            let err = ScenarioSpec::from_toml_str(&format!(
+                "[scenario]\nname = \"t\"\n[sweep]\ntopology = [\"ring:4\"]\n\
+                 link = [{{ {link} }}]\n"
+            ))
+            .unwrap_err();
+            assert!(err.to_string().contains(needle), "{link}: {err}");
+        }
     }
 
     #[test]

@@ -57,16 +57,15 @@ use std::time::{Duration, Instant};
 
 use tacos_baselines::IdealBound;
 use tacos_collective::algorithm::rescale_time;
-use tacos_collective::{export::to_compact, parse_pattern};
+use tacos_collective::export::to_compact;
 use tacos_core::{
-    FlightEntry, InFlightRegistry, SynthesisScratch, SynthesizerConfig, WarmCache, WarmEntry,
-    WarmLimits,
+    FlightEntry, InFlightRegistry, SynthesisScratch, WarmCache, WarmEntry, WarmLimits,
 };
-use tacos_topology::{parse_size, parse_topology, ByteSize, Time, Topology};
-use tacos_workload::{bandwidth_gbps, Generation, Mechanism, Plan};
+use tacos_topology::{ByteSize, Time, Topology};
+use tacos_workload::{bandwidth_gbps, Generation, Plan, Point};
 
 use crate::faults::FaultPlan;
-use crate::protocol::{OkBody, Op, Request, Response, Shape, StatsBody};
+use crate::protocol::{OkBody, Op, Request, Response, StatsBody};
 
 /// File name of the warm-cache snapshot inside `--cache-dir`.
 pub const SNAPSHOT_FILE: &str = "warm.tacos-cache";
@@ -182,9 +181,9 @@ struct Job {
     generation: Generation,
 }
 
-/// Everything `synthesize` derives from a request's [`Shape`] before it
-/// looks anything up — a pure function of the shape, so it is computed
-/// once per distinct shape and found by the shape afterwards. Holds no
+/// Everything `synthesize` derives from a request's [`Point`] before it
+/// looks anything up — a pure function of the point, so it is computed
+/// once per distinct point and found by the point afterwards. Holds no
 /// [`Topology`]: what a repeat request needs of the fabric is its NPU
 /// count and its fingerprint, which the key already contains.
 #[derive(Debug)]
@@ -198,7 +197,7 @@ struct Resolved {
     /// bound, which has no schedule).
     chunk_size: ByteSize,
     quantum: u64,
-    /// [`Mechanism::name`] of the parsed mechanism.
+    /// [`tacos_workload::Mechanism::name`] of the parsed mechanism.
     algorithm: &'static str,
 }
 
@@ -245,10 +244,10 @@ impl Drop for AliveGuard<'_> {
 
 struct ServerState {
     warm: WarmCache,
-    /// Shapes whose requests have been answered `ok`, at most
+    /// Points whose requests have been answered `ok`, at most
     /// [`MAX_RESOLVED_SHAPES`] of them. A leaf lock: never held while
     /// another is taken.
-    resolved: RwLock<HashMap<Shape, Arc<Resolved>>>,
+    resolved: RwLock<HashMap<Point, Arc<Resolved>>>,
     inflight: InFlightRegistry<FlightOutcome>,
     counters: Counters,
     stop: AtomicBool,
@@ -406,25 +405,25 @@ impl ServerState {
         }
     }
 
-    /// What `shape` resolved to the last time a request with it was
+    /// What `point` resolved to the last time a request with it was
     /// answered `ok`, if the table still has it.
-    fn recall(&self, shape: &Shape) -> Option<Arc<Resolved>> {
+    fn recall(&self, point: &Point) -> Option<Arc<Resolved>> {
         let table = self.resolved.read().unwrap_or_else(PoisonError::into_inner);
-        table.get(shape).cloned()
+        table.get(point).cloned()
     }
 
-    /// Remembers `shape`'s resolution. A full table is cleared rather
-    /// than trimmed: refilling costs each live shape one ordinary
+    /// Remembers `point`'s resolution. A full table is cleared rather
+    /// than trimmed: refilling costs each live point one ordinary
     /// resolution, which is cheaper to reason about than a second LRU.
-    fn remember(&self, shape: &Shape, resolved: Arc<Resolved>) {
+    fn remember(&self, point: &Point, resolved: Arc<Resolved>) {
         let mut table = self
             .resolved
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        if table.len() >= MAX_RESOLVED_SHAPES && !table.contains_key(shape) {
+        if table.len() >= MAX_RESOLVED_SHAPES && !table.contains_key(point) {
             table.clear();
         }
-        table.insert(shape.clone(), resolved);
+        table.insert(point.clone(), resolved);
     }
 }
 
@@ -1023,12 +1022,12 @@ fn handle_line(state: &Arc<ServerState>, line: &str) -> Response {
     }
 }
 
-/// Answers one synthesize request. A shape the table knows costs a hash
+/// Answers one synthesize request. A point the table knows costs a hash
 /// and a lookup before the warm cache is asked; any other — and a known
 /// one whose warm entry has since been evicted — takes [`resolve_and_run`],
 /// and is remembered once that has answered `ok`.
 fn synthesize(state: &Arc<ServerState>, req: &Request) -> Result<Response, String> {
-    if let Some(resolved) = state.recall(&req.shape) {
+    if let Some(resolved) = state.recall(&req.point) {
         state.counters.resolve_hits.fetch_add(1, Ordering::Relaxed);
         match &resolved.answer {
             Answer::Ideal(time) => return Ok(Response::Ok(req.id, ok_body(&resolved, *time))),
@@ -1041,7 +1040,7 @@ fn synthesize(state: &Arc<ServerState>, req: &Request) -> Result<Response, Strin
     }
     let (response, resolved) = resolve_and_run(state, req)?;
     if matches!(response, Response::Ok(..)) {
-        state.remember(&req.shape, resolved);
+        state.remember(&req.point, resolved);
     }
     Ok(response)
 }
@@ -1067,37 +1066,17 @@ fn hit(
     ))
 }
 
-/// Resolves the request's shape from scratch — link, fabric, pattern,
-/// size, mechanism, plan, key — then serves it from the warm cache or a
-/// flight. Returns the resolution beside the response for the caller to
-/// remember; an unresolvable shape is the `Err`.
+/// Resolves the request's point from scratch ([`Point::resolve`], then
+/// plan and key), then serves it from the warm cache or a flight.
+/// Returns the resolution beside the response for the caller to
+/// remember; an unresolvable point is the `Err`.
 fn resolve_and_run(
     state: &Arc<ServerState>,
     req: &Request,
 ) -> Result<(Response, Arc<Resolved>), String> {
-    let shape = &req.shape;
-    shape
-        .link
-        .check()
-        .map_err(|e| format!("link {}: {e}", shape.link))?;
-    let topo = parse_topology(&shape.topology, shape.link.to_spec())?;
-    let pattern = parse_pattern(&shape.collective, topo.num_npus())?;
-    let size = parse_size(&shape.size)?;
-
-    let mut config = SynthesizerConfig::default();
-    if let Some(seed) = shape.seed {
-        config = config.with_seed(seed);
-    }
-    if let Some(attempts) = shape.attempts {
-        config = config.with_attempts(attempts);
-    }
-    if let Some(on) = shape.prefer_cheap_links {
-        config = config.with_prefer_cheap_links(on);
-    }
-    let mechanism = Mechanism::parse(&shape.mechanism, &config)?;
-
+    let (topo, pattern, size, mechanism) = req.point.resolve()?;
     let plan = mechanism
-        .plan(pattern, topo.num_npus(), size, shape.chunks)
+        .plan(pattern, &topo, size, req.point.chunks)
         .map_err(|e| e.cause())?;
     let resolves_to = |answer, chunk_size, quantum| {
         Arc::new(Resolved {
@@ -1116,7 +1095,7 @@ fn resolve_and_run(
         let resolved = resolves_to(Answer::Ideal(time), size, 1);
         return Ok((Response::Ok(req.id, ok_body(&resolved, time)), resolved));
     };
-    let key = generation.cache_key(&shape.mechanism, &topo);
+    let key = generation.cache_key(&req.point.mechanism, &topo);
     let resolved = resolves_to(
         Answer::Schedule(key.clone()),
         generation.collective().chunk_size(),

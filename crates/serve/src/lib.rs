@@ -33,4 +33,4 @@ pub use chaos::{ChaosOptions, ChaosReport};
 pub use client::{Client, RetriedCall, RetryPolicy};
 pub use daemon::{Daemon, DaemonConfig, DaemonHandle, MAX_RESOLVED_SHAPES, SNAPSHOT_FILE};
 pub use faults::FaultPlan;
-pub use protocol::{OkBody, Op, Request, Response, Shape, StatsBody};
+pub use protocol::{OkBody, Op, Request, Response, StatsBody};

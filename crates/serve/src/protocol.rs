@@ -5,20 +5,21 @@
 //! `topology`, `collective`, `size`, and `mechanism` fields accept
 //! exactly the strings a scenario TOML accepts (`mesh:8x8`,
 //! `all-reduce`, `64MB`, `tacos:chunks=4`), so a request is a scenario
-//! point that arrives over a socket instead of a grid. Responses carry a
-//! `status` discriminant (`ok`, `rejected`, `deadline`, `error`, plus
-//! the control-op acknowledgements) and `ok` payloads report the same
-//! metrics a scenario CSV row would.
-
-use std::hash::{Hash, Hasher};
+//! point that arrives over a socket instead of a grid. The fields that
+//! say what to synthesize are a [`tacos_workload::Point`], checked and
+//! built by [`Point::resolve`]; the rest say how to deliver the answer.
+//! Responses carry a `status` discriminant (`ok`, `rejected`,
+//! `deadline`, `error`, plus the control-op acknowledgements) and `ok`
+//! payloads report the same metrics a scenario CSV row would.
 
 use tacos_report::Json;
-use tacos_topology::LinkAxis;
+use tacos_workload::Point;
 
 /// What a request asks the daemon to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Op {
     /// Synthesize (or serve from cache) one collective algorithm.
+    #[default]
     Synthesize,
     /// Report the daemon's counters.
     Stats,
@@ -31,123 +32,20 @@ pub enum Op {
 }
 
 /// A parsed request line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Request {
     /// Client-chosen correlation id, echoed back verbatim.
     pub id: Option<u64>,
     /// The operation; defaults to [`Op::Synthesize`].
     pub op: Op,
     /// What to synthesize: every field the answer's content depends on.
-    pub shape: Shape,
+    pub point: Point,
     /// Per-request deadline in milliseconds; `None` falls back to the
     /// daemon's `--deadline-ms` default (if any).
     pub deadline_ms: Option<u64>,
     /// Whether the `ok` response should embed the algorithm in the
     /// compact text format.
     pub include_algorithm: bool,
-}
-
-/// The fields of a synthesize request that decide *which* algorithm
-/// answers it — its cache key, or its ideal time — as opposed to how the
-/// answer is delivered (`id`, `deadline_ms`, `include_algorithm`). Two
-/// requests with equal shapes resolve to the same key, which is what
-/// lets the daemon resolve each shape once and look repeats up by it.
-///
-/// Equality and hashing compare the link's two floats by bit pattern, so
-/// the relation is total (`NaN == NaN`, `0.0 != -0.0`): a shape is the
-/// request as spelled, not as interpreted.
-#[derive(Debug, Clone)]
-pub struct Shape {
-    /// Topology spec (`mesh:3x3`, `ring:8`, ... — the scenario
-    /// vocabulary). Required for synthesize requests.
-    pub topology: String,
-    /// Collective pattern name. Defaults to `all-reduce`.
-    pub collective: String,
-    /// Collective size label (`64MB`, `1.5GB`, ...). Defaults to `64MB`.
-    pub size: String,
-    /// Mechanism spec for [`tacos_workload::Mechanism::parse`].
-    /// Defaults to `tacos`.
-    pub mechanism: String,
-    /// Chunking factor per NPU. Defaults to 1.
-    pub chunks: usize,
-    /// Link parameters for homogeneous topology constructors.
-    pub link: LinkAxis,
-    /// Synthesizer seed override.
-    pub seed: Option<u64>,
-    /// Best-of-N attempts override.
-    pub attempts: Option<usize>,
-    /// Low-cost-link prioritization override.
-    pub prefer_cheap_links: Option<bool>,
-}
-
-impl Shape {
-    /// Every field as a value with derived `Eq` and `Hash`. The
-    /// destructuring is exhaustive on purpose: a new field does not
-    /// compile until it is compared and hashed here.
-    fn identity(&self) -> impl Eq + Hash + '_ {
-        let Shape {
-            topology,
-            collective,
-            size,
-            mechanism,
-            chunks,
-            link: LinkAxis {
-                alpha_us,
-                bandwidth_gbps,
-            },
-            seed,
-            attempts,
-            prefer_cheap_links,
-        } = self;
-        (
-            topology,
-            collective,
-            size,
-            mechanism,
-            chunks,
-            alpha_us.to_bits(),
-            bandwidth_gbps.to_bits(),
-            seed,
-            attempts,
-            prefer_cheap_links,
-        )
-    }
-}
-
-impl PartialEq for Shape {
-    fn eq(&self, other: &Self) -> bool {
-        self.identity() == other.identity()
-    }
-}
-
-impl Eq for Shape {}
-
-impl Hash for Shape {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.identity().hash(state);
-    }
-}
-
-impl Default for Request {
-    fn default() -> Self {
-        Request {
-            id: None,
-            op: Op::Synthesize,
-            shape: Shape {
-                topology: String::new(),
-                collective: "all-reduce".into(),
-                size: "64MB".into(),
-                mechanism: "tacos".into(),
-                chunks: 1,
-                link: LinkAxis::default_paper(),
-                seed: None,
-                attempts: None,
-                prefer_cheap_links: None,
-            },
-            deadline_ms: None,
-            include_algorithm: false,
-        }
-    }
 }
 
 impl Request {
@@ -160,16 +58,20 @@ impl Request {
             .as_object()
             .ok_or_else(|| "request must be a JSON object".to_string())?;
         let mut req = Request::default();
-        let shape = &mut req.shape;
+        let point = &mut req.point;
         for (key, field) in obj {
+            let wrong = |kind: &str| format!("'{key}' must be {kind}");
+            let text = || {
+                field
+                    .as_str()
+                    .map(String::from)
+                    .ok_or_else(|| wrong("a string"))
+            };
+            let number = || field.as_f64().ok_or_else(|| wrong("a number"));
+            let uint = |kind| field.as_u64().ok_or_else(|| wrong(kind));
+            let flag = || field.as_bool().ok_or_else(|| wrong("a bool"));
             match key.as_str() {
-                "id" => {
-                    req.id = Some(
-                        field
-                            .as_u64()
-                            .ok_or("'id' must be a non-negative integer")?,
-                    )
-                }
+                "id" => req.id = Some(uint("a non-negative integer")?),
                 "op" => {
                     let op = field.as_str().ok_or("'op' must be a string")?;
                     req.op = match op {
@@ -181,65 +83,22 @@ impl Request {
                         other => return Err(format!("unknown op '{other}'")),
                     };
                 }
-                "topology" => {
-                    shape.topology = field.as_str().ok_or("'topology' must be a string")?.into()
-                }
-                "collective" => {
-                    shape.collective = field
-                        .as_str()
-                        .ok_or("'collective' must be a string")?
-                        .into()
-                }
-                "size" => shape.size = field.as_str().ok_or("'size' must be a string")?.into(),
-                "mechanism" => {
-                    shape.mechanism = field.as_str().ok_or("'mechanism' must be a string")?.into()
-                }
-                "chunks" => {
-                    let v = field
-                        .as_u64()
-                        .ok_or("'chunks' must be a positive integer")?;
-                    if v == 0 {
-                        return Err("'chunks' must be >= 1".into());
-                    }
-                    shape.chunks = v as usize;
-                }
-                "alpha_us" => {
-                    shape.link.alpha_us = field.as_f64().ok_or("'alpha_us' must be a number")?
-                }
-                "link_gbps" => {
-                    shape.link.bandwidth_gbps =
-                        field.as_f64().ok_or("'link_gbps' must be a number")?
-                }
-                "seed" => shape.seed = Some(field.as_u64().ok_or("'seed' must be an integer")?),
-                "attempts" => {
-                    let v = field
-                        .as_u64()
-                        .ok_or("'attempts' must be a positive integer")?;
-                    if v == 0 {
-                        return Err("'attempts' must be >= 1".into());
-                    }
-                    shape.attempts = Some(v as usize);
-                }
-                "prefer_cheap_links" => {
-                    shape.prefer_cheap_links = Some(
-                        field
-                            .as_bool()
-                            .ok_or("'prefer_cheap_links' must be a bool")?,
-                    )
-                }
-                "deadline_ms" => {
-                    req.deadline_ms =
-                        Some(field.as_u64().ok_or("'deadline_ms' must be an integer")?)
-                }
-                "include_algorithm" => {
-                    req.include_algorithm = field
-                        .as_bool()
-                        .ok_or("'include_algorithm' must be a bool")?
-                }
+                "topology" => point.topology = text()?,
+                "collective" => point.collective = text()?,
+                "size" => point.size = text()?,
+                "mechanism" => point.mechanism = text()?,
+                "chunks" => point.chunks = uint("a positive integer")? as usize,
+                "alpha_us" => point.link.alpha_us = number()?,
+                "link_gbps" => point.link.bandwidth_gbps = number()?,
+                "seed" => point.seed = Some(uint("an integer")?),
+                "attempts" => point.attempts = Some(uint("a positive integer")? as usize),
+                "prefer_cheap_links" => point.prefer_cheap_links = Some(flag()?),
+                "deadline_ms" => req.deadline_ms = Some(uint("an integer")?),
+                "include_algorithm" => req.include_algorithm = flag()?,
                 other => return Err(format!("unknown request field '{other}'")),
             }
         }
-        if req.op == Op::Synthesize && req.shape.topology.is_empty() {
+        if req.op == Op::Synthesize && req.point.topology.is_empty() {
             return Err("synthesize requests need a 'topology'".into());
         }
         Ok(req)
@@ -433,13 +292,13 @@ mod tests {
     fn minimal_request_fills_defaults() {
         let req = Request::parse(r#"{"topology":"mesh:3x3"}"#).unwrap();
         assert_eq!(req.op, Op::Synthesize);
-        assert_eq!(req.shape.topology, "mesh:3x3");
-        assert_eq!(req.shape.collective, "all-reduce");
-        assert_eq!(req.shape.size, "64MB");
-        assert_eq!(req.shape.mechanism, "tacos");
-        assert_eq!(req.shape.chunks, 1);
-        assert_eq!(req.shape.link.alpha_us, 0.5);
-        assert_eq!(req.shape.link.bandwidth_gbps, 50.0);
+        assert_eq!(req.point.topology, "mesh:3x3");
+        assert_eq!(req.point.collective, "all-reduce");
+        assert_eq!(req.point.size, "64MB");
+        assert_eq!(req.point.mechanism, "tacos");
+        assert_eq!(req.point.chunks, 1);
+        assert_eq!(req.point.link.alpha_us, 0.5);
+        assert_eq!(req.point.link.bandwidth_gbps, 50.0);
         assert!(req.deadline_ms.is_none());
     }
 
@@ -453,10 +312,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(req.id, Some(7));
-        assert_eq!(req.shape.mechanism, "tacos:chunks=4");
-        assert_eq!(req.shape.seed, Some(9));
-        assert_eq!(req.shape.attempts, Some(4));
-        assert_eq!(req.shape.prefer_cheap_links, Some(false));
+        assert_eq!(req.point.mechanism, "tacos:chunks=4");
+        assert_eq!(req.point.seed, Some(9));
+        assert_eq!(req.point.attempts, Some(4));
+        assert_eq!(req.point.prefer_cheap_links, Some(false));
         assert_eq!(req.deadline_ms, Some(500));
         assert!(req.include_algorithm);
     }
@@ -475,7 +334,6 @@ mod tests {
             ("{}", "topology"),
             (r#"{"op":"fry"}"#, "unknown op"),
             (r#"{"toplogy":"mesh:3x3"}"#, "unknown request field"),
-            (r#"{"topology":"mesh:3x3","chunks":0}"#, "chunks"),
             (r#"{"topology":"mesh:3x3","id":"x"}"#, "id"),
             ("[1,2]", "object"),
             ("not json", "byte"),
@@ -498,7 +356,7 @@ mod tests {
     #[test]
     fn shapes_compare_by_what_was_asked_not_how() {
         use std::collections::HashSet;
-        let shape = |line: &str| Request::parse(line).unwrap().shape;
+        let shape = |line: &str| Request::parse(line).unwrap().point;
         let base = shape(r#"{"topology":"ring:8","seed":3}"#);
         // Delivery fields and key order are not part of the shape; a
         // default spelled out is the default.

@@ -151,11 +151,21 @@ fn unusable_link_parameters_get_a_typed_error_and_keep_the_connection() {
     });
 
     let mut client = Client::connect(daemon.addr()).unwrap();
-    for (id, link) in [
-        (1, r#""alpha_us":-1"#),
-        (2, r#""link_gbps":0"#),
-        (3, r#""link_gbps":1e400"#),
-    ] {
+    let links = [
+        (1, r#""alpha_us":-1"#, "alpha must be"),
+        (2, r#""link_gbps":0"#, "alpha must be"),
+        (3, r#""link_gbps":1e400"#, "alpha must be"),
+        // Past the picosecond clock: α itself, inf B/s, and a payload
+        // whose serialization does not fit.
+        (4, r#""alpha_us":1e300"#, "alpha must be under 2^64 ps"),
+        (
+            5,
+            r#""link_gbps":1e300"#,
+            "bandwidth must be finite in bytes per second",
+        ),
+        (6, r#""link_gbps":1e-300"#, "past the 2^64 ps clock"),
+    ];
+    for (id, link, needle) in links {
         let response = client
             .call(&format!(r#"{{"id":{id},"topology":"ring:4",{link}}}"#))
             .unwrap_or_else(|e| panic!("{link}: no typed response: {e}"));
@@ -169,14 +179,17 @@ fn unusable_link_parameters_get_a_typed_error_and_keep_the_connection() {
             .get("reason")
             .and_then(Json::as_str)
             .unwrap_or_default();
-        assert!(reason.contains("alpha must be"), "{link}: {reason}");
+        assert!(reason.contains(needle), "{link}: {reason}");
     }
 
-    // The same connection survives all three.
-    let pong = client.call(r#"{"op":"ping","id":4}"#).unwrap();
+    // The same connection survives all of them.
+    let pong = client.call(r#"{"op":"ping","id":7}"#).unwrap();
     assert_eq!(pong.get("status").and_then(Json::as_str), Some("pong"));
     let stats = client.stats().unwrap();
-    assert_eq!(stats.get("errors").and_then(Json::as_u64), Some(3));
+    assert_eq!(
+        stats.get("errors").and_then(Json::as_u64),
+        Some(links.len() as u64)
+    );
     daemon.stop().unwrap();
 }
 
@@ -225,6 +238,15 @@ fn repeated_keys_and_out_of_range_integers_get_a_typed_error() {
         (
             r#"{"topology":"ring:8","size":"1MB","mechanism":"tacos:2305843009213693953"}"#,
             chunks,
+        ),
+        (
+            r#"{"topology":"ring:8","size":"1MB","chunks":0}"#,
+            "'chunks' must be >= 1",
+        ),
+        // 2^64 - 1 bytes: a ring step's serialization alone is past 2^64 ps.
+        (
+            r#"{"topology":"ring:8","size":"18446744073709551615B"}"#,
+            "past the 2^64 ps clock",
         ),
     ];
     for (line, needle) in hostile {

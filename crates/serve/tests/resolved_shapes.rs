@@ -9,8 +9,9 @@ use std::sync::Barrier;
 use tacos_core::WarmLimits;
 use tacos_report::Json;
 use tacos_serve::{
-    Client, Daemon, DaemonConfig, DaemonHandle, FaultPlan, Request, Shape, MAX_RESOLVED_SHAPES,
+    Client, Daemon, DaemonConfig, DaemonHandle, FaultPlan, Request, MAX_RESOLVED_SHAPES,
 };
+use tacos_workload::Point;
 
 fn spawn(config: DaemonConfig) -> DaemonHandle {
     Daemon::spawn(DaemonConfig {
@@ -40,17 +41,17 @@ fn content(response: &str) -> Json {
 
 /// The shape of a request line. Both destructurings are exhaustive: a
 /// field added to [`Request`] has to be declared here as delivery (`_`)
-/// or moved into [`Shape`], and a field added to [`Shape`] needs a row
+/// or moved into [`Point`], and a field added to [`Point`] needs a row
 /// in the table the test below varies.
 fn shape_fields(line: &str) -> [(&'static str, String); 9] {
     let Request {
         id: _,
         op: _,
-        shape,
+        point,
         deadline_ms: _,
         include_algorithm: _,
     } = Request::parse(line).expect("a valid request");
-    let Shape {
+    let Point {
         topology,
         collective,
         size,
@@ -60,7 +61,7 @@ fn shape_fields(line: &str) -> [(&'static str, String); 9] {
         seed,
         attempts,
         prefer_cheap_links,
-    } = shape;
+    } = point;
     [
         ("topology", topology),
         ("collective", collective),

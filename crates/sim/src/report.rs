@@ -1,6 +1,6 @@
 //! Simulation results: collective time, per-link traffic, utilization.
 
-use tacos_topology::{ByteSize, LinkId, Time, Topology};
+use tacos_topology::{ByteSize, LinkId, Time};
 
 /// Aggregate per-link load statistics of one simulation — the summary
 /// numbers under the paper Fig. 1 heat maps: how hot the hottest link
@@ -164,14 +164,6 @@ impl SimReport {
     /// count once per hop).
     pub fn messages(&self) -> u64 {
         self.messages
-    }
-
-    /// Utilization of one link: busy time ÷ collective time.
-    pub fn link_utilization(&self, link: LinkId) -> f64 {
-        if self.collective_time.is_zero() {
-            return 0.0;
-        }
-        self.link_busy[link.index()].as_secs_f64() / self.collective_time.as_secs_f64()
     }
 
     /// Mean utilization across all links (the per-topology bar of paper
@@ -353,19 +345,6 @@ impl SimReport {
             })
             .collect()
     }
-
-    /// Aggregates per-link bytes into an `n × n` source/destination matrix
-    /// (parallel links summed) — the cells of paper Fig. 1. Cells without a
-    /// physical link are `None`.
-    pub fn bytes_matrix(&self, topo: &Topology) -> Vec<Vec<Option<u64>>> {
-        let n = topo.num_npus();
-        let mut m = vec![vec![None; n]; n];
-        for link in topo.links() {
-            let cell = &mut m[link.src().index()][link.dst().index()];
-            *cell = Some(cell.unwrap_or(0) + self.link_bytes[link.id().index()]);
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -406,8 +385,6 @@ mod tests {
     #[test]
     fn utilization_metrics() {
         let r = report();
-        assert_eq!(r.link_utilization(LinkId::new(0)), 1.0);
-        assert_eq!(r.link_utilization(LinkId::new(1)), 0.25);
         assert!((r.average_utilization() - 0.625).abs() < 1e-12);
     }
 

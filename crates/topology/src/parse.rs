@@ -38,14 +38,21 @@ impl LinkAxis {
     ///
     /// # Errors
     /// Returns the reason (without naming the link) when either value is
-    /// not finite, α is negative, or the bandwidth is not positive.
+    /// not finite, α is negative, or the bandwidth is not positive; when
+    /// α reaches 2^64 ps, past the longest [`Time`]; or when the
+    /// bandwidth in bytes per second is not finite.
     pub fn check(&self) -> Result<(), String> {
         let alpha_ok = self.alpha_us.is_finite() && self.alpha_us >= 0.0;
         let bandwidth_ok = self.bandwidth_gbps.is_finite() && self.bandwidth_gbps > 0.0;
-        if alpha_ok && bandwidth_ok {
-            Ok(())
-        } else {
+        if !(alpha_ok && bandwidth_ok) {
             Err("alpha must be finite and >= 0 and bandwidth finite and > 0".to_string())
+        } else if (self.alpha_us * 1e6).round() >= 18_446_744_073_709_551_616.0 {
+            // What `Time::from_micros` would saturate.
+            Err("alpha must be under 2^64 ps".to_string())
+        } else if !(self.bandwidth_gbps * 1e9).is_finite() {
+            Err("bandwidth must be finite in bytes per second".to_string())
+        } else {
+            Ok(())
         }
     }
 
@@ -640,6 +647,21 @@ mod tests {
         ] {
             let reason = bad.check().unwrap_err();
             assert!(reason.contains("finite"), "{bad}: {reason}");
+        }
+        // An α just under 2^64 ps passes; one that rounds to it does not.
+        assert_eq!(link(18_446_744_073_709.54, 50.0).check(), Ok(()));
+        for (bad, want) in [
+            (
+                link(18_446_744_073_709.55, 50.0),
+                "alpha must be under 2^64 ps",
+            ),
+            (link(1e300, 50.0), "alpha must be under 2^64 ps"),
+            (
+                link(0.5, 1e300),
+                "bandwidth must be finite in bytes per second",
+            ),
+        ] {
+            assert_eq!(bad.check(), Err(want.to_string()), "{bad}");
         }
     }
 

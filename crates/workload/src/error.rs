@@ -7,6 +7,7 @@ use tacos_baselines::BaselineError;
 use tacos_collective::CollectiveError;
 use tacos_core::SynthesisError;
 use tacos_sim::SimError;
+use tacos_topology::ByteSize;
 
 /// Errors produced while evaluating a training workload.
 #[derive(Debug)]
@@ -20,6 +21,18 @@ pub enum WorkloadError {
     Synthesis(SynthesisError),
     /// Simulation failed.
     Sim(SimError),
+    /// The point's time may not fit the picosecond clock: `bound_ps`,
+    /// the bound [`crate::Mechanism::plan`] computes, reaches 2^64.
+    OutOfClock {
+        /// The collective size.
+        size: ByteSize,
+        /// NPUs in the fabric.
+        num_npus: usize,
+        /// The chunking factor the collective would run with.
+        chunks: usize,
+        /// The bound, in picoseconds.
+        bound_ps: f64,
+    },
 }
 
 impl WorkloadError {
@@ -39,6 +52,16 @@ impl fmt::Display for WorkloadError {
             WorkloadError::Baseline(e) => write!(f, "baseline error: {e}"),
             WorkloadError::Synthesis(e) => write!(f, "synthesis error: {e}"),
             WorkloadError::Sim(e) => write!(f, "simulation error: {e}"),
+            WorkloadError::OutOfClock {
+                size,
+                num_npus,
+                chunks,
+                bound_ps,
+            } => write!(
+                f,
+                "{size} over {num_npus} NPUs in {chunks} chunk(s) each may take \
+                 {bound_ps:.2e} ps, past the 2^64 ps clock"
+            ),
         }
     }
 }
@@ -50,6 +73,7 @@ impl Error for WorkloadError {
             WorkloadError::Baseline(e) => Some(e),
             WorkloadError::Synthesis(e) => Some(e),
             WorkloadError::Sim(e) => Some(e),
+            WorkloadError::OutOfClock { .. } => None,
         }
     }
 }

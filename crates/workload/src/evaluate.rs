@@ -80,22 +80,27 @@ pub struct Evaluated {
 }
 
 impl Mechanism {
-    /// Step 1: binds this mechanism to `pattern` over `num_npus` NPUs
+    /// Step 1: binds this mechanism to `pattern` over `topo`'s NPUs
     /// moving `size`. `chunks` is the caller's chunking factor; a
     /// `tacos:N` variant overrides it for itself only, so the paper's
     /// chunked TACOS variants can share a grid with unchunked baselines.
     ///
     /// # Errors
-    /// Propagates an invalid collective description.
+    /// Propagates an invalid collective description, then refuses a
+    /// point whose time may not fit the picosecond clock (see
+    /// [`WorkloadError::OutOfClock`]), the ideal bound included.
     pub fn plan(
         &self,
         pattern: CollectivePattern,
-        num_npus: usize,
+        topo: &Topology,
         size: ByteSize,
         chunks: usize,
     ) -> Result<Plan, WorkloadError> {
         let (generator, chunks) = match self {
-            Mechanism::Ideal => return Ok(Plan::Ideal),
+            Mechanism::Ideal => {
+                fits_the_clock(topo, size, chunks)?;
+                return Ok(Plan::Ideal);
+            }
             Mechanism::Tacos(m) => (
                 Generator::Tacos(Synthesizer::new(m.config.clone())),
                 m.chunks.unwrap_or(chunks),
@@ -105,12 +110,56 @@ impl Mechanism {
                 chunks,
             ),
         };
+        // The collective's own count checks come first, so an absurd
+        // chunking factor keeps its error.
+        let collective = Collective::with_chunking(pattern, topo.num_npus(), chunks, size)?;
+        fits_the_clock(topo, size, chunks)?;
         Ok(Plan::Generate(Generation {
             generator,
-            collective: Collective::with_chunking(pattern, num_npus, chunks, size)?,
+            collective,
         }))
     }
 }
+
+/// Refuses a point whose collective time may not fit a [`Time`]: when
+/// one chunk's cost on the costliest link, α + ⌈size / (n·chunks)⌉ /
+/// bandwidth, times 2·n²·chunks reaches 2^64 ps (computed in `f64`, so
+/// the check itself cannot wrap).
+///
+/// That product bounds a TACOS time: the matcher commits at least one
+/// postcondition per round, a collective has at most 2·n²·chunks of them
+/// (an All-Reduce's two phases), and one round takes at most one chunk on
+/// the costliest link. Past the clock, α + payload/β wraps where overflow
+/// checks are off and a link's cost reads small. Like the 2^25 bound on a
+/// topology spec (`tacos_topology::MAX_SPEC_ELEMENTS`), this is a range
+/// check that keeps arithmetic exact, not a budget on how long a
+/// synthesis may run.
+fn fits_the_clock(topo: &Topology, size: ByteSize, chunks: usize) -> Result<(), WorkloadError> {
+    let n = topo.num_npus() as f64;
+    let per_chunk = (size.as_u64() as f64 / (n * chunks as f64)).ceil();
+    let costliest = topo
+        .links()
+        .iter()
+        .map(|link| {
+            let spec = link.spec();
+            spec.alpha().as_ps() as f64 + per_chunk * spec.beta_ps_per_byte()
+        })
+        .fold(0.0, f64::max);
+    let bound_ps = costliest * 2.0 * n * n * chunks as f64;
+    if bound_ps < CLOCK_PS {
+        Ok(())
+    } else {
+        Err(WorkloadError::OutOfClock {
+            size,
+            num_npus: topo.num_npus(),
+            chunks,
+            bound_ps,
+        })
+    }
+}
+
+/// 2^64 picoseconds: one past the longest [`Time`].
+const CLOCK_PS: f64 = 18_446_744_073_709_551_616.0;
 
 impl Generation {
     /// The collective this generation runs.
@@ -275,9 +324,7 @@ impl<'a> Evaluator<'a> {
         scratch: &mut SynthesisScratch,
     ) -> Result<Evaluated, WorkloadError> {
         let topo = self.topo;
-        let plan = self
-            .mechanism
-            .plan(pattern, topo.num_npus(), size, chunks)?;
+        let plan = self.mechanism.plan(pattern, topo, size, chunks)?;
         let Plan::Generate(generation) = plan else {
             return Ok(Evaluated {
                 time: self.ideal().collective_time(pattern, size),

@@ -9,7 +9,11 @@
 //! "how is a collective executed": a baseline generator, a TACOS
 //! synthesis under a concrete `SynthesizerConfig`, or the theoretical
 //! ideal bound — parseable from the same algorithm spec strings the
-//! scenario engine's `algo` axis and the CLI's `--algo` flag use.
+//! scenario engine's `algo` axis and the CLI's `--algo` flag use. A
+//! [`Point`] is one single-collective request as the one-shot CLI and
+//! `tacos serve` spell it; [`Point::resolve`] is the one place its
+//! fields are checked and turned into a fabric, a pattern, a size and a
+//! mechanism.
 //!
 //! A [`Workload`] carries per-iteration compute times and exposed gradient
 //! collective volumes; [`TrainingEvaluator`] runs the gradient All-Reduce
@@ -24,10 +28,12 @@ mod error;
 mod evaluate;
 mod mechanism;
 mod models;
+mod point;
 mod training;
 
 pub use error::WorkloadError;
 pub use evaluate::{bandwidth_gbps, Evaluated, Evaluator, Generation, Plan};
 pub use mechanism::{parse_baseline, Mechanism, SynthMechanism};
 pub use models::Workload;
+pub use point::Point;
 pub use training::{Parallelism, TrainingEvaluator, TrainingReport};
