@@ -163,15 +163,7 @@ const SERVE: &[Flag] = &[
         entries are evicted on insert (default 0 = unbounded)"),
     value("--warm-max-bytes", "B", "cap on approximate warm-cache bytes, e.g. 64MB\n\
         (default 0 = unbounded); caps also apply to reloads"),
-    value("--faults", "SPEC", "deterministic fault injection for chaos testing, e.g.\n\
-        panic@3,stall@1:50,conn-delay@2:20,checkpoint-abort@2"),
     switch("--quiet", "suppress daemon notices on stderr"),
-];
-
-#[rustfmt::skip]
-const CHAOS: &[Flag] = &[
-    value("--seed", "N", "fault-plan seed (default 1); each seed is deterministic"),
-    switch("--quiet", "only print the final verdict"),
 ];
 
 #[rustfmt::skip]
@@ -188,17 +180,14 @@ usage: tacos [options]
        tacos scenario expand <file.toml>
        tacos scenario diff <a.csv> <b.csv> [--tol 1e-9]
        tacos serve [serve options]
-       tacos chaos [--seed N] [--quiet]
        tacos lint [--fix-baseline] [--stats] [--root DIR]";
 
 #[rustfmt::skip]
-const SECTIONS: [(&str, &[Flag]); 6] = [
+const SECTIONS: [(&str, &[Flag]); 5] = [
     ("single-point options:", POINT),
     ("scenario options (override the file's [run] table):", SCENARIO),
     ("scenario diff options:", DIFF),
     ("serve options (synthesis-as-a-service daemon; line-delimited JSON over TCP):", SERVE),
-    ("chaos options (drive a private daemon through a seeded fault plan and\n\
-      assert its operational invariants; nonzero exit on any violation):", CHAOS),
     ("lint options (repo-native static analysis: lock-order deadlock detection,\n\
       panic-path audit, unsafe hygiene, design rules; nonzero exit on any\n\
       finding not absorbed by lint.baseline):", LINT),
@@ -309,7 +298,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
         Some("scenario") => scenario_command(&args[1..]),
         Some("serve") => serve_command(&args[1..]),
-        Some("chaos") => chaos_command(&args[1..]),
         Some("lint") => lint_command(&args[1..]),
         // Legacy single-point mode: most failures are flag mistakes, so
         // they keep the usage text.
@@ -533,9 +521,6 @@ fn serve_command(args: &[String]) -> Result<(), CliError> {
     if let Some(bytes) = p.value("--warm-max-bytes", parse_size)? {
         config.warm_limits.max_bytes = bytes.as_u64();
     }
-    if let Some(plan) = p.value("--faults", tacos_serve::FaultPlan::parse)? {
-        config.faults = plan;
-    }
     config.quiet = p.has("--quiet");
 
     tacos_core::shutdown::install();
@@ -569,28 +554,6 @@ fn serve_command(args: &[String]) -> Result<(), CliError> {
             stats.checkpoints
         );
     }
-    Ok(())
-}
-
-/// `tacos chaos [--seed N] [--quiet]`: spawn a private daemon under a
-/// seeded fault plan and assert the operational invariants — exactly one
-/// typed response per request, worker panics contained to their flight,
-/// torn checkpoints salvaged, oversized lines bounded, overload
-/// recoverable. Nonzero exit on the first violated invariant.
-fn chaos_command(args: &[String]) -> Result<(), CliError> {
-    let p = Args::parse(args, "chaos argument", CHAOS, 0)?;
-    let mut options = tacos_serve::ChaosOptions::default();
-    p.set("--seed", &mut options.seed)?;
-    options.quiet = p.has("--quiet");
-    let report = tacos_serve::chaos::run(&options).map_err(|violation| {
-        CliError::Runtime(format!("chaos (seed {}): {violation}", options.seed))
-    })?;
-    println!(
-        "tacos chaos: seed {} passed — {} invariants held under plan '{}'",
-        report.seed,
-        report.passed.len(),
-        report.plan
-    );
     Ok(())
 }
 
@@ -1012,12 +975,11 @@ cache = false
     /// the command before it acts.
     #[test]
     fn every_flag_rejects_bad_input_with_a_usage_error() {
-        let prefixes: [&[&str]; 6] = [
+        let prefixes: [&[&str]; 5] = [
             &[],
             &["scenario", "run"],
             &["scenario", "diff"],
             &["serve"],
-            &["chaos"],
             &["lint"],
         ];
         const NUMERIC: [&str; 8] = ["N", "K", "US", "GBPS", "MS", "SECS", "T", "B"];
@@ -1047,6 +1009,17 @@ cache = false
                     }
                 }
             }
+        }
+        // The chaos harness and fault injection live in the test suite.
+        for (args, message) in [
+            (&["chaos"][..], "unknown argument 'chaos'"),
+            (
+                &["serve", "--faults", "panic@1"],
+                "unknown serve argument '--faults'",
+            ),
+        ] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            assert_eq!(run(&args), Err(CliError::Usage(message.into())));
         }
     }
 

@@ -140,6 +140,13 @@ fn values_the_daemon_and_the_scenario_loader_reject_are_usage_errors() {
         ),
         ("--bw", "1e-300", "past the 2^64 ps clock"),
         ("--size", "18446744073709551615B", "past the 2^64 ps clock"),
+        // The reference matcher is a library oracle, not a mechanism key.
+        (
+            "--algo",
+            "tacos:reference_matching=true",
+            "unknown tacos override 'reference_matching' (expected one of: \
+             chunks, attempts, seed, prefer_cheap_links)",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_tacos"))
             .args(["--topology", "ring:4", flag, value, "--json"])
@@ -184,7 +191,9 @@ fn chunks_over_the_pair_limit_are_a_usage_error() {
 /// an aborted allocation. The address-space cap makes a regression fail
 /// fast instead of exhausting the machine: without the size bound
 /// `fc:100000` asks for a 1.6 GB link table, and a ring over links whose
-/// cost wraps past 2^64 ps grows its routing table until it aborts.
+/// cost wraps past 2^64 ps grows its routing table until it aborts. A
+/// tier whose bandwidth overflows or rounds to zero in bytes per second
+/// used to panic in the ideal bound.
 #[cfg(unix)]
 #[test]
 fn an_oversized_topology_is_one_error_line_under_a_memory_cap() {
@@ -199,6 +208,18 @@ fn an_oversized_topology_is_one_error_line_under_a_memory_cap() {
         (
             "--algo ring --alpha 1e300 --size 18446744073709551615B",
             "alpha must be under 2^64 ps",
+        ),
+        (
+            "--topology rfs:2x2x2:1e300x1x1",
+            "tier bandwidth 5e301 GB/s must be finite and > 0 in bytes per second",
+        ),
+        (
+            "--topology dragonfly:4x4:1e300",
+            "tier bandwidth 5e301 GB/s must be finite and > 0 in bytes per second",
+        ),
+        (
+            "--bw 1e-300 --topology rfs:2x2x2:1e-300x1x1",
+            "tier bandwidth 0e0 GB/s must be finite and > 0 in bytes per second",
         ),
     ] {
         let out = Command::new("sh")

@@ -650,7 +650,8 @@ impl WarmCache {
     /// only the first half of the snapshot to a temp file and **never
     /// renaming it** — the debris a real kill would leave. The snapshot
     /// at `path` is untouched; the caller should treat the checkpoint as
-    /// failed. Used by `tacos chaos` to prove checkpoint atomicity.
+    /// failed. Used by the serving daemon's chaos suite to prove
+    /// checkpoint atomicity.
     pub fn save_interrupted_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let mut text = Vec::new();
         self.write_snapshot(&mut text)?;

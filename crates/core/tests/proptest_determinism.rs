@@ -14,9 +14,11 @@
 //! tests doubles as a per-arrival audit of the wake-index bookkeeping.
 
 use proptest::prelude::*;
-use tacos_collective::Collective;
+use tacos_collective::{Collective, CollectivePattern};
 use tacos_core::{SynthesisScratch, Synthesizer, SynthesizerConfig};
-use tacos_topology::{Bandwidth, ByteSize, LinkSpec, RingOrientation, Time, Topology};
+use tacos_topology::{
+    parse_size, parse_topology, Bandwidth, ByteSize, LinkSpec, RingOrientation, Time, Topology,
+};
 
 /// The collective patterns under test, instantiated for `n` NPUs.
 fn collective(pattern: usize, n: usize, chunks: usize) -> Collective {
@@ -70,6 +72,45 @@ fn topology(kind: usize, hetero: bool) -> Topology {
             b.link(n(2), n(3), slow);
             b.link(n(3), n(1), slow);
             b.build().unwrap()
+        }
+    }
+}
+
+/// A fixed grid on a larger fabric than the random ones: `mesh:4x4`
+/// under the paper's link, 64 MB in 2 chunks per NPU, seeds 1 and 2, over
+/// the direct (All-Gather), relay (All-to-All) and two-phase stitched
+/// (All-Reduce) paths. CI also runs it in release.
+#[test]
+fn mesh_4x4_grid_equals_reference_oracle() {
+    let link = LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(50.0));
+    let topo = parse_topology("mesh:4x4", link).unwrap();
+    let size = parse_size("64MB").unwrap();
+    for pattern in [
+        CollectivePattern::AllGather,
+        CollectivePattern::AllToAll,
+        CollectivePattern::AllReduce,
+    ] {
+        let coll = Collective::with_chunking(pattern, topo.num_npus(), 2, size).unwrap();
+        for seed in [1, 2] {
+            let config = SynthesizerConfig::default().with_seed(seed);
+            let optimized = Synthesizer::new(config.clone())
+                .synthesize(&topo, &coll)
+                .unwrap();
+            let reference = Synthesizer::new(config.with_reference_matching(true))
+                .synthesize(&topo, &coll)
+                .unwrap();
+            let case = format!("{pattern:?} seed {seed}");
+            assert_eq!(
+                optimized.collective_time(),
+                reference.collective_time(),
+                "{case}"
+            );
+            assert_eq!(
+                optimized.num_transfers(),
+                reference.num_transfers(),
+                "{case}"
+            );
+            assert_eq!(optimized.algorithm(), reference.algorithm(), "{case}");
         }
     }
 }

@@ -1266,6 +1266,14 @@ seed = [7, 7, 3]
             ("topology = [\"mesh:2x2\"]\nchunks = [0]", "chunks"),
             ("topology = [\"mesh:2x2\"]\nattempts = [0]", "attempts"),
             ("topology = [\"custom:nope\"]", "unknown custom topology"),
+            (
+                "topology = [\"mesh:2x2\"]\nalgo = [\"tacos:reference_matching=true\"]",
+                "unknown tacos override 'reference_matching'",
+            ),
+            (
+                "topology = [\"rfs:2x2x2:1e300x1x1\"]",
+                "tier bandwidth 5e301 GB/s must be finite and > 0",
+            ),
         ] {
             let text = format!("[scenario]\nname = \"t\"\n[sweep]\n{snippet}\n");
             let err = ScenarioSpec::from_toml_str(&text).unwrap_err().to_string();
@@ -2147,6 +2155,14 @@ tier_gbps = [25.0]
             (
                 "base = \"mesh:3x3\"\nalpha_us = 0.5\ntier_gbps = [-1.0]",
                 "positive",
+            ),
+            (
+                "base = \"rfs:2x2x2\"\nalpha_us = 0.5\ntier_gbps = [1e300, 100.0, 50.0]",
+                "tier bandwidth 1e300 GB/s must be finite and > 0",
+            ),
+            (
+                "base = \"ring:8\"\nalpha_us = 0.5\ntier_gbps = [1e300]",
+                "tier bandwidth 1e300 GB/s must be finite and > 0",
             ),
         ] {
             let text = format!(

@@ -1,6 +1,6 @@
 //! A minimal blocking client for the line-delimited protocol, used by
-//! `tacos chaos`, the integration tests, and scripting — including
-//! [`Client::call_with_retry`], which honors the daemon's
+//! the integration tests (the chaos suite among them) and scripting —
+//! including [`Client::call_with_retry`], which honors the daemon's
 //! `retry_after_ms` backpressure hints.
 
 use std::io::{self, BufRead, BufReader, Write};

@@ -42,8 +42,9 @@
 //! queued jobs drain, and the warm cache is persisted on the way out.
 //!
 //! All of the failure paths above are exercised deterministically by
-//! [`crate::FaultPlan`] (the `--faults` flag) and asserted by
-//! `tacos chaos`.
+//! [`crate::FaultPlan`], a test seam set through [`DaemonConfig::faults`],
+//! and asserted by the chaos suite (`cargo test -p tacos-serve --test
+//! chaos`).
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -127,8 +128,8 @@ pub struct DaemonConfig {
     pub max_connections: usize,
     /// The `retry_after_ms` hint attached to `rejected` responses.
     pub retry_after_ms: u64,
-    /// Deterministic fault-injection schedule (the `--faults` flag);
-    /// empty for a real daemon.
+    /// Deterministic fault-injection schedule, set only by tests; empty
+    /// for a real daemon.
     pub faults: FaultPlan,
     /// Warm-cache residency bounds (`--warm-max-entries` /
     /// `--warm-max-bytes`); zero fields mean unbounded, the original

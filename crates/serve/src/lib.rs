@@ -17,19 +17,17 @@
 //! checkpoints. The wire protocol is one JSON object per line in each
 //! direction; see [`protocol`].
 //!
-//! [`faults`] and [`chaos`] implement `tacos chaos`: deterministic
-//! fault injection plus the harness that asserts the daemon's
-//! operational invariants under it.
+//! [`faults`] is a test seam: deterministic fault injection, which the
+//! chaos suite (`cargo test -p tacos-serve --test chaos`) drives to
+//! assert the daemon's operational invariants.
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 mod client;
 mod daemon;
 pub mod faults;
 pub mod protocol;
 
-pub use chaos::{ChaosOptions, ChaosReport};
 pub use client::{Client, RetriedCall, RetryPolicy};
 pub use daemon::{Daemon, DaemonConfig, DaemonHandle, MAX_RESOLVED_SHAPES, SNAPSHOT_FILE};
 pub use faults::FaultPlan;

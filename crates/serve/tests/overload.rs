@@ -151,39 +151,77 @@ fn unusable_link_parameters_get_a_typed_error_and_keep_the_connection() {
     });
 
     let mut client = Client::connect(daemon.addr()).unwrap();
+    let ring = |link: &str| format!(r#""topology":"ring:4",{link}"#);
+    let tier = |gbps: &str| format!("tier bandwidth {gbps} GB/s must be finite and > 0");
     let links = [
-        (1, r#""alpha_us":-1"#, "alpha must be"),
-        (2, r#""link_gbps":0"#, "alpha must be"),
-        (3, r#""link_gbps":1e400"#, "alpha must be"),
+        (1, ring(r#""alpha_us":-1"#), "alpha must be".to_string()),
+        (2, ring(r#""link_gbps":0"#), "alpha must be".to_string()),
+        (3, ring(r#""link_gbps":1e400"#), "alpha must be".to_string()),
         // Past the picosecond clock: α itself, inf B/s, and a payload
         // whose serialization does not fit.
-        (4, r#""alpha_us":1e300"#, "alpha must be under 2^64 ps"),
+        (
+            4,
+            ring(r#""alpha_us":1e300"#),
+            "alpha must be under 2^64 ps".to_string(),
+        ),
         (
             5,
-            r#""link_gbps":1e300"#,
-            "bandwidth must be finite in bytes per second",
+            ring(r#""link_gbps":1e300"#),
+            "bandwidth must be finite in bytes per second".to_string(),
         ),
-        (6, r#""link_gbps":1e-300"#, "past the 2^64 ps clock"),
+        (
+            6,
+            ring(r#""link_gbps":1e-300"#),
+            "past the 2^64 ps clock".to_string(),
+        ),
+        // A tier whose bytes per second overflow or round to zero: TACOS
+        // read it as α-only, and the ideal bound panicked the connection.
+        (
+            7,
+            r#""topology":"rfs:2x2x2:1e300x1x1""#.into(),
+            tier("5e301"),
+        ),
+        (
+            8,
+            r#""topology":"rfs:2x2x2:1e300x1x1","mechanism":"ideal""#.into(),
+            tier("5e301"),
+        ),
+        (
+            9,
+            r#""topology":"dragonfly:4x4:1e300""#.into(),
+            tier("5e301"),
+        ),
+        (
+            10,
+            r#""topology":"rfs:2x2x2:1e-300x1x1","link_gbps":1e-300,"mechanism":"ideal""#.into(),
+            tier("0e0"),
+        ),
+        // The reference matcher is a library oracle, not a mechanism key.
+        (
+            11,
+            ring(r#""mechanism":"tacos:reference_matching=true""#),
+            "unknown tacos override 'reference_matching'".to_string(),
+        ),
     ];
-    for (id, link, needle) in links {
+    for (id, link, needle) in &links {
         let response = client
-            .call(&format!(r#"{{"id":{id},"topology":"ring:4",{link}}}"#))
+            .call(&format!(r#"{{"id":{id},{link}}}"#))
             .unwrap_or_else(|e| panic!("{link}: no typed response: {e}"));
         assert_eq!(
             response.get("status").and_then(Json::as_str),
             Some("error"),
             "{link}: {response}"
         );
-        assert_eq!(response.get("id").and_then(Json::as_u64), Some(id));
+        assert_eq!(response.get("id").and_then(Json::as_u64), Some(*id));
         let reason = response
             .get("reason")
             .and_then(Json::as_str)
             .unwrap_or_default();
-        assert!(reason.contains(needle), "{link}: {reason}");
+        assert!(reason.contains(needle.as_str()), "{link}: {reason}");
     }
 
     // The same connection survives all of them.
-    let pong = client.call(r#"{"op":"ping","id":7}"#).unwrap();
+    let pong = client.call(r#"{"op":"ping","id":12}"#).unwrap();
     assert_eq!(pong.get("status").and_then(Json::as_str), Some("pong"));
     let stats = client.stats().unwrap();
     assert_eq!(

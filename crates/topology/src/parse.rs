@@ -107,7 +107,8 @@ pub const MAX_SPEC_ELEMENTS: u64 = 1 << 25;
 ///
 /// # Errors
 /// Returns a message for unknown families, malformed dimensions,
-/// non-positive ratio values, or more NPUs or links than
+/// non-positive ratio values, a tier bandwidth that is not finite and
+/// positive in bytes per second, or more NPUs or links than
 /// [`MAX_SPEC_ELEMENTS`].
 pub fn parse_topology(spec: &str, link: LinkSpec) -> Result<Topology, String> {
     let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
@@ -264,6 +265,7 @@ impl Tiered {
         alpha: Time,
         gbps: &[f64],
     ) -> Result<Topology, String> {
+        gbps.iter().try_for_each(|&g| check_tier(g))?;
         let switch = Some(DimKind::Switch { degree: 1 });
         let topo = match self.kind {
             "rfs" => {
@@ -352,6 +354,21 @@ fn dims(s: &str) -> Result<Vec<usize>, String> {
                 .map_err(|e| format!("bad dimension '{d}': {e}"))
         })
         .collect()
+}
+
+/// Refuses a tier bandwidth (GB/s) that is not finite and > 0 in bytes
+/// per second, the rule [`LinkAxis::check`] applies to a link: a ratio
+/// or a `tier_gbps` entry can overflow to infinity, or round to zero,
+/// once it is scaled.
+fn check_tier(gbps: f64) -> Result<(), String> {
+    let bps = gbps * 1e9;
+    if bps.is_finite() && bps > 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "tier bandwidth {gbps:e} GB/s must be finite and > 0 in bytes per second"
+        ))
+    }
 }
 
 /// Parses an `x`-separated list of positive bandwidth ratios.
@@ -537,7 +554,8 @@ impl CustomTopology {
     ///
     /// # Errors
     /// Returns a message if an endpoint is out of range, the tier count
-    /// does not match the base family, the NPU or link count exceeds
+    /// does not match the base family, a tier bandwidth is not finite and
+    /// positive in bytes per second, the NPU or link count exceeds
     /// [`MAX_SPEC_ELEMENTS`], or the built network is rejected.
     pub fn build(&self) -> Result<Topology, String> {
         match &self.body {
@@ -594,6 +612,7 @@ impl CustomTopology {
                     // Every single-tier family goes through the spec string.
                     None => {
                         want_tiers(1)?;
+                        check_tier(tier_gbps[0])?;
                         parse_topology(base, LinkSpec::new(alpha, Bandwidth::gbps(tier_gbps[0])))
                     }
                 }

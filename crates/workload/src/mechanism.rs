@@ -64,10 +64,8 @@ impl Mechanism {
     /// * `tacos:N` — synthesis with the chunking factor overridden to
     ///   `N` (the paper's "TACOS-N" chunked variants);
     /// * `tacos:key=value,...` — per-variant `synth.*` overrides on top
-    ///   of `base`: `chunks`, `attempts`, `seed`, `prefer_cheap_links`,
-    ///   `reference_matching` (e.g. `tacos:attempts=64`,
-    ///   `tacos:chunks=4,seed=7`, `tacos:reference_matching=true` for the
-    ///   oracle-parity smoke);
+    ///   of `base`: `chunks`, `attempts`, `seed`, `prefer_cheap_links`
+    ///   (e.g. `tacos:attempts=64`, `tacos:chunks=4,seed=7`);
     /// * any [`parse_baseline`] spec (`ring`, `themis:64`, `multitree`,
     ///   `taccl:5000`, ...).
     ///
@@ -152,21 +150,10 @@ fn parse_tacos_variant(param: &str, base: &SynthesizerConfig) -> Result<SynthMec
                 };
                 mechanism.config = mechanism.config.clone().with_prefer_cheap_links(on);
             }
-            "reference_matching" => {
-                // The scan-everything oracle round (schedule-identical to
-                // the event-driven matcher by construction; CI diffs the
-                // two). Slow — for parity smokes, not production sweeps.
-                let on = match value {
-                    "true" => true,
-                    "false" => false,
-                    other => return Err(format!("bad reference_matching '{other}' (true|false)")),
-                };
-                mechanism.config = mechanism.config.clone().with_reference_matching(on);
-            }
             other => {
                 return Err(format!(
                     "unknown tacos override '{other}' (expected one of: chunks, \
-                     attempts, seed, prefer_cheap_links, reference_matching)"
+                     attempts, seed, prefer_cheap_links)"
                 ))
             }
         }
@@ -288,7 +275,7 @@ mod tests {
     #[test]
     fn synth_overrides_layer_on_the_base_config() {
         let m = Mechanism::parse(
-            "tacos:attempts=64,seed=7,prefer_cheap_links=false,chunks=16,reference_matching=true",
+            "tacos:attempts=64,seed=7,prefer_cheap_links=false,chunks=16",
             &base(),
         )
         .unwrap();
@@ -298,13 +285,8 @@ mod tests {
                 assert_eq!(m.config.attempts(), 64);
                 assert_eq!(m.config.seed(), 7);
                 assert!(!m.config.prefer_cheap_links());
-                assert!(m.config.reference_matching());
+                assert!(!m.config.reference_matching());
             }
-            other => panic!("expected tacos, got {other:?}"),
-        }
-        let plain = Mechanism::parse("tacos", &base()).unwrap();
-        match plain {
-            Mechanism::Tacos(m) => assert!(!m.config.reference_matching()),
             other => panic!("expected tacos, got {other:?}"),
         }
     }
@@ -316,12 +298,17 @@ mod tests {
             "tacos:attempts=0",
             "tacos:chunks=x",
             "tacos:frobnicate=1",
-            "tacos:reference_matching=maybe",
             "tacos:seed=",
             "magic",
         ] {
             assert!(Mechanism::parse(bad, &base()).is_err(), "'{bad}' parsed");
         }
+        // The reference matcher is a library oracle, not a mechanism key.
+        let err = Mechanism::parse("tacos:reference_matching=true", &base()).unwrap_err();
+        assert!(
+            err.starts_with("unknown tacos override 'reference_matching'"),
+            "{err}"
+        );
     }
 
     #[test]
